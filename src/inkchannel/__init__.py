@@ -15,6 +15,7 @@ from .imagery import (
     block_lightness_histogram,
     read_binary,
     read_gray,
+    read_image,
     write_binary,
     write_gray,
 )

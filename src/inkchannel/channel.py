@@ -10,6 +10,7 @@ block erase (erase gated on the tile's center pixel).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,11 @@ _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 
 
 def _check_seed(seed: int) -> int:
-    seed = int(seed)
+    """Return ``seed`` as an int in 0 .. 2**64 - 1; floats, even 7.0, are rejected."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     return seed

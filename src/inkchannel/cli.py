@@ -120,18 +120,8 @@ def _parse_algorithm_token(token: str) -> HalftoneSpec:
         raise UsageError(f"algorithm {token!r}: {exc}") from None
 
 
-def _load_auto(path: str):
-    """Read a PGM or PBM by magic number."""
-    magic = Path(path).read_bytes()[:2]
-    if magic in (b"P2", b"P5"):
-        return imagery.read_gray(path)
-    if magic in (b"P1", b"P4"):
-        return imagery.read_binary(path)
-    raise imagery.NetpbmError(f"{path}: not a PGM/PBM file (magic {magic!r})")
-
-
 def _load_binary(path: str, flag: str) -> imagery.BinaryImage:
-    img = _load_auto(path)
+    img = imagery.read_image(path)
     if not isinstance(img, imagery.BinaryImage):
         raise UsageError(f"{flag}: {path} is not a PBM binary image")
     return img
@@ -322,7 +312,7 @@ def cmd_metric(args) -> int:
     if args.b is None:
         raise UsageError(f"--b is required for --name {args.name}")
     if args.name == "euclid":
-        a, b = _load_auto(args.a), _load_auto(args.b)
+        a, b = imagery.read_image(args.a), imagery.read_image(args.b)
         try:
             value = metrics.euclidean_distance(a, b)
         except ValueError as exc:

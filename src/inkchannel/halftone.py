@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _check_seed
 from .imagery import BinaryImage, GrayImage
 
 __all__ = [
@@ -35,8 +36,6 @@ ALGORITHMS = ("threshold", "random", "fs", "bayer", "cdot", "dotdif", "blockd")
 
 DEFAULT_THRESHOLD_LEVEL = 0.5
 DEFAULT_MATRIX_ORDER = 8
-
-_MASK64 = (1 << 64) - 1
 
 _BAYER_BASE = np.array([[0, 2], [3, 1]], dtype=np.int64)
 
@@ -139,8 +138,8 @@ class HalftoneSpec:
             raise ValueError(f"block size h must be >= 1, got {self.h}")
         if self.level is not None and not 0.0 <= self.level <= 1.0:
             raise ValueError(f"threshold level must lie in [0, 1], got {self.level}")
-        if self.seed is not None and not 0 <= int(self.seed) <= _MASK64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        if self.seed is not None:
+            _check_seed(self.seed)
         if self.matrix_order is not None and self.matrix_order not in (2, 4, 8):
             raise ValueError(f"matrix order must be 2, 4, or 8, got {self.matrix_order}")
         if self.algorithm == "blockd" and self.h is None:
@@ -202,7 +201,7 @@ def halftone_threshold(img: GrayImage, level: float) -> BinaryImage:
 
 def halftone_random(img: GrayImage, seed: int) -> BinaryImage:
     """Per-pixel coin: ink where a uniform [0,1) draw falls below darkness."""
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    rng = np.random.Generator(np.random.PCG64(_check_seed(seed)))
     u = rng.random(img.pixels.shape)
     return BinaryImage(u < _darkness(img))
 

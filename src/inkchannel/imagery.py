@@ -7,6 +7,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +21,7 @@ __all__ = [
     "read_gray",
     "write_gray",
     "read_binary",
+    "read_image",
     "write_binary",
     "binary_histogram",
     "block_lightness_histogram",
@@ -77,7 +79,7 @@ class BinaryImage:
             arr = arr.astype(np.uint8)
         if not np.issubdtype(arr.dtype, np.integer):
             raise ValueError(f"binary bits must be integers, got dtype {arr.dtype}")
-        if not np.isin(arr, (0, 1)).all():
+        if arr.min() < 0 or arr.max() > 1:
             raise ValueError("binary bits must be 0 or 1")
         object.__setattr__(self, "bits", _freeze(arr.astype(np.uint8)))
 
@@ -117,18 +119,20 @@ class Histogram:
 
 
 # ---------------------------------------------------------------------------
-# netpbm parsing
+# netpbm I/O
 # ---------------------------------------------------------------------------
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
+_KINDS = {b"P1": "PBM", b"P4": "PBM", b"P2": "PGM", b"P5": "PGM"}
+_COMMENT = re.compile(rb"#[^\n]*")
 
 
 class _Cursor:
-    """Byte cursor over a netpbm file; skips whitespace and '#' comments."""
+    """Byte cursor over a netpbm header; skips whitespace and '#' comments."""
 
     def __init__(self, data: bytes):
         self.data = data
-        self.pos = 0
+        self.pos = 2  # past the magic number
 
     def _skip_separators(self):
         data, n = self.data, len(self.data)
@@ -152,10 +156,6 @@ class _Cursor:
             raise NetpbmError("malformed header: unexpected end of file")
         return data[start : self.pos]
 
-    def at_end(self) -> bool:
-        self._skip_separators()
-        return self.pos >= len(self.data)
-
     def int_token(self, what: str) -> int:
         tok = self.token()
         try:
@@ -163,122 +163,109 @@ class _Cursor:
         except ValueError:
             raise NetpbmError(f"malformed {what} {tok!r}") from None
 
-    def raster_start(self) -> int:
+    def raster(self, need: int) -> bytes:
         # binary raster begins after exactly one whitespace byte
         if self.pos >= len(self.data) or self.data[self.pos] not in _WHITESPACE:
             raise NetpbmError("malformed header: missing separator before raster")
-        return self.pos + 1
-
-    def bit_char(self) -> int | None:
-        # P1 raster: '0'/'1' characters, whitespace/comments between them optional
-        self._skip_separators()
-        if self.pos >= len(self.data):
-            return None
-        ch = self.data[self.pos]
-        self.pos += 1
-        if ch == 0x30:
-            return 0
-        if ch == 0x31:
-            return 1
-        raise NetpbmError(f"malformed payload: unexpected byte {bytes([ch])!r} in P1 raster")
+        raw = self.data[self.pos + 1 : self.pos + 1 + need]
+        if len(raw) < need:
+            raise NetpbmError(f"truncated payload: expected {need} bytes, got {len(raw)}")
+        return raw
 
 
-def _read_file(path) -> bytes:
+def _sample(tok: bytes) -> int:
+    try:
+        v = int(tok)
+    except ValueError:
+        raise NetpbmError(f"malformed payload sample {tok!r}") from None
+    if not 0 <= v <= 255:
+        raise NetpbmError(f"malformed payload sample {v} (out of 0..255)")
+    return v
+
+
+def _ascii_payload(text: bytes, gray: bool, count: int) -> np.ndarray:
+    """First ``count`` P2 samples or P1 bits of ``text``; later bytes are ignored.
+
+    Comments may sit anywhere; P1 digits need no separators.  Every list and
+    array here is sized by the file's bytes, never by the header's claim.
+    """
+    text = _COMMENT.sub(b" ", text)
+    if gray:
+        vals = list(map(_sample, text.split()[:count]))
+        if len(vals) < count:
+            raise NetpbmError(f"truncated payload: expected {count} samples, got {len(vals)}")
+        return np.array(vals, dtype=np.uint8)
+    digits = text.translate(None, _WHITESPACE)[:count]
+    bad = digits.translate(None, b"01")
+    if bad:
+        raise NetpbmError(f"malformed payload: unexpected byte {bad[:1]!r} in P1 raster")
+    if len(digits) < count:
+        raise NetpbmError(f"truncated payload: expected {count} bits, got {len(digits)}")
+    return np.frombuffer(digits, dtype=np.uint8) - ord("0")
+
+
+def _read_netpbm(path, accept: str):
+    """Parse any netpbm file whose kind ("PGM" or "PBM") appears in ``accept``."""
     data = Path(path).read_bytes()
     if not data:
         raise NetpbmError("malformed header: empty file")
-    return data
-
-
-def read_gray(path) -> GrayImage:
-    """Read a PGM file (P2 ASCII or P5 binary, maxval 255)."""
-    data = _read_file(path)
     magic = data[:2]
-    if magic not in (b"P2", b"P5"):
-        raise NetpbmError(f"malformed header: not a PGM file (magic {magic!r})")
+    kind = _KINDS.get(magic)
+    if kind is None or kind not in accept:
+        raise NetpbmError(f"malformed header: not a {accept} file (magic {magic!r})")
+    gray = kind == "PGM"
     cur = _Cursor(data)
-    cur.pos = 2
     width = cur.int_token("header width")
     height = cur.int_token("header height")
-    maxval = cur.int_token("header maxval")
+    maxval = cur.int_token("header maxval") if gray else 255
     if width < 1 or height < 1:
         raise NetpbmError(f"malformed header: bad dimensions {width}x{height}")
     if maxval != 255:
         raise NetpbmError(f"unsupported maxval {maxval} (only 255)")
-    count = width * height
     if magic == b"P5":
-        start = cur.raster_start()
-        raw = data[start : start + count]
-        if len(raw) < count:
-            raise NetpbmError(f"truncated payload: expected {count} bytes, got {len(raw)}")
-        arr = np.frombuffer(raw, dtype=np.uint8).reshape(height, width)
+        arr = np.frombuffer(cur.raster(width * height), dtype=np.uint8).reshape(height, width)
+    elif magic == b"P4":
+        row_bytes = (width + 7) // 8
+        packed = np.frombuffer(cur.raster(row_bytes * height), dtype=np.uint8).reshape(height, row_bytes)
+        arr = np.unpackbits(packed, axis=1)[:, :width]
     else:
-        vals = np.empty(count, dtype=np.uint8)
-        for i in range(count):
-            if cur.at_end():
-                raise NetpbmError(f"truncated payload: expected {count} samples, got {i}")
-            v = cur.int_token("payload sample")
-            if not 0 <= v <= 255:
-                raise NetpbmError(f"malformed payload sample {v} (out of 0..255)")
-            vals[i] = v
-        arr = vals.reshape(height, width)
-    return GrayImage(arr)
+        arr = _ascii_payload(data[cur.pos :], gray, width * height).reshape(height, width)
+    return GrayImage(arr) if gray else BinaryImage(arr)
 
 
-def write_gray(img: GrayImage, path, *, ascii_format: bool = False) -> None:
-    """Write a PGM file; P5 by default, P2 with ``ascii_format=True``."""
-    if ascii_format:
-        lines = [f"P2\n{img.width} {img.height}\n255\n"]
-        for row in img.pixels:
-            lines.append(" ".join(str(int(v)) for v in row) + "\n")
-        Path(path).write_bytes("".join(lines).encode("ascii"))
-    else:
-        header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-        Path(path).write_bytes(header + img.pixels.tobytes())
+def read_gray(path) -> GrayImage:
+    """Read a PGM file (P2 ASCII or P5 binary, maxval 255)."""
+    return _read_netpbm(path, "PGM")
 
 
 def read_binary(path) -> BinaryImage:
     """Read a PBM file (P1 ASCII or P4 packed binary); 1 = black = ink."""
-    data = _read_file(path)
-    magic = data[:2]
-    if magic not in (b"P1", b"P4"):
-        raise NetpbmError(f"malformed header: not a PBM file (magic {magic!r})")
-    cur = _Cursor(data)
-    cur.pos = 2
-    width = cur.int_token("header width")
-    height = cur.int_token("header height")
-    if width < 1 or height < 1:
-        raise NetpbmError(f"malformed header: bad dimensions {width}x{height}")
-    if magic == b"P4":
-        start = cur.raster_start()
-        row_bytes = (width + 7) // 8
-        need = row_bytes * height
-        raw = data[start : start + need]
-        if len(raw) < need:
-            raise NetpbmError(f"truncated payload: expected {need} bytes, got {len(raw)}")
-        packed = np.frombuffer(raw, dtype=np.uint8).reshape(height, row_bytes)
-        arr = np.unpackbits(packed, axis=1)[:, :width]
-    else:
-        arr = np.empty((height, width), dtype=np.uint8)
-        for i in range(height * width):
-            b = cur.bit_char()
-            if b is None:
-                raise NetpbmError(f"truncated payload: expected {height * width} bits, got {i}")
-            arr[i // width, i % width] = b
-    return BinaryImage(arr)
+    return _read_netpbm(path, "PBM")
+
+
+def read_image(path) -> GrayImage | BinaryImage:
+    """Read a PGM as a GrayImage or a PBM as a BinaryImage, by its magic number."""
+    return _read_netpbm(path, "PGM/PBM")
+
+
+def _write_netpbm(path, header: str, arr: np.ndarray, raw: bytes | None) -> None:
+    """Write ``header`` then ``raw``, or ``arr`` as ASCII rows when ``raw`` is None."""
+    if raw is None:
+        raw = "".join(" ".join(map(str, row)) + "\n" for row in arr.tolist()).encode("ascii")
+    Path(path).write_bytes(header.encode("ascii") + raw)
+
+
+def write_gray(img: GrayImage, path, *, ascii_format: bool = False) -> None:
+    """Write a PGM file; P5 by default, P2 with ``ascii_format=True``."""
+    magic, raw = ("P2", None) if ascii_format else ("P5", img.pixels.tobytes())
+    _write_netpbm(path, f"{magic}\n{img.width} {img.height}\n255\n", img.pixels, raw)
 
 
 def write_binary(img: BinaryImage, path, *, ascii_format: bool = False) -> None:
     """Write a PBM file; P4 by default, P1 with ``ascii_format=True``."""
-    if ascii_format:
-        lines = [f"P1\n{img.width} {img.height}\n"]
-        for row in img.bits:
-            lines.append(" ".join(str(int(v)) for v in row) + "\n")
-        Path(path).write_bytes("".join(lines).encode("ascii"))
-    else:
-        header = f"P4\n{img.width} {img.height}\n".encode("ascii")
-        packed = np.packbits(img.bits, axis=1)  # MSB first, rows zero-padded
-        Path(path).write_bytes(header + packed.tobytes())
+    # P4 packs MSB first and zero-pads each row to a whole byte
+    magic, raw = ("P1", None) if ascii_format else ("P4", np.packbits(img.bits, axis=1).tobytes())
+    _write_netpbm(path, f"{magic}\n{img.width} {img.height}\n", img.bits, raw)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import BlockSpec, CHANNEL_KINDS, ChannelConfig, NoisePower, derive_seed, transmit
+from .channel import BlockSpec, CHANNEL_KINDS, ChannelConfig, NoisePower, _check_seed, derive_seed, transmit
 from .halftone import HalftoneSpec, halftone
 from .imagery import read_gray
 from .metrics import HistogramSpec, euclidean_distance, image_relative_entropy
@@ -78,6 +78,7 @@ class SweepSpec:
             NoisePower(t)  # range check
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
+        _check_seed(self.master_seed)
         if not self.corpus:
             raise ValueError("sweep needs a non-empty corpus")
 

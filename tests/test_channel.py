@@ -293,6 +293,14 @@ def test_channel_config_validation():
         ChannelConfig(kind="block-erase", power=NoisePower(0.1), seed=1)
     with pytest.raises(ValueError):
         ChannelConfig(kind="bitflip", power=NoisePower(0.1), seed=-1)
+    with pytest.raises(ValueError, match="seed"):
+        ChannelConfig(kind="bitflip", power=NoisePower(0.1), seed=1.5)
+    with pytest.raises(ValueError, match="seed"):
+        gen_noise(2, 2, NoisePower(0.1), 1.0)
+    with pytest.raises(ValueError, match="seed"):
+        derive_seed(2**64, 0)
+    with pytest.raises(ValueError, match="seed"):
+        derive_seed(3.0, 0)
     ChannelConfig(kind="block-erase", power=NoisePower(0.1), seed=1, block=BlockSpec(5))
 
 

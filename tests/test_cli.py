@@ -67,6 +67,33 @@ def test_halftone_missing_input_is_io_error(capsys, tmp_path):
     assert "none.pgm" in stderr
 
 
+def test_oversized_headers_exit_3_before_allocating(capsys, tmp_path):
+    p2, p1 = tmp_path / "big.pgm", tmp_path / "big.pbm"
+    p2.write_bytes(b"P2\n1000000 1000000\n255\n7 8\n")
+    p1.write_bytes(b"P1\n1000000 1000000\n0 1 1 0\n")
+    assert len(p2.read_bytes()) < 30 and len(p1.read_bytes()) < 30
+    out = str(tmp_path / "out.pbm")
+    for argv in (
+        ("halftone", "--algo", "fs", "--input", str(p2), "--output", out),
+        ("transmit", "--kind", "bitflip", "--power", "0.1", "--seed", "1", "--input", str(p1), "--output", out),
+    ):
+        code, _, stderr = run(capsys, *argv)
+        assert code == 3
+        assert "truncated payload" in stderr and "Traceback" not in stderr
+
+
+def test_format_mismatch_exit_codes(capsys, tmp_path, gray128):
+    out = str(tmp_path / "out.pbm")
+    code, _, stderr = run(
+        capsys, "transmit", "--kind", "bitflip", "--power", "0.1", "--seed", "1", "--input", str(gray128), "--output", out
+    )
+    assert code == 2 and "not a PBM binary image" in stderr
+    junk = tmp_path / "junk.txt"
+    junk.write_bytes(b"hello")
+    code, _, stderr = run(capsys, "metric", "--name", "euclid", "--a", str(junk), "--b", str(gray128))
+    assert code == 3 and "not a PGM/PBM file" in stderr
+
+
 def test_halftone_does_not_modify_input(capsys, tmp_path, gray128):
     before = gray128.read_bytes()
     run(capsys, "halftone", "--algo", "fs", "--input", str(gray128), "--output", str(tmp_path / "g.pbm"))

@@ -1,0 +1,133 @@
+"""Pinned sha256 digests of netpbm bytes and sweep CSVs.
+
+The determinism tests elsewhere compare a run with itself; these compare it
+with bytes produced before any refactor.  A digest here may change only in a
+change that says why the bytes are meant to change.
+"""
+
+import hashlib
+
+import pytest
+
+from inkchannel import (
+    BlockSpec,
+    HalftoneSpec,
+    HistogramSpec,
+    SweepSpec,
+    corpus_average,
+    halftone,
+    run_sweep,
+    write_aggregates_csv,
+    write_binary,
+    write_gray,
+    write_records_csv,
+)
+
+from conftest import natural_gray
+
+ALGORITHMS = (
+    HalftoneSpec("threshold"),
+    HalftoneSpec("random", seed=7),
+    HalftoneSpec("fs"),
+    HalftoneSpec("bayer"),
+    HalftoneSpec("cdot", matrix_order=4),
+    HalftoneSpec("dotdif"),
+    HalftoneSpec("blockd", h=5),
+)
+
+GRAY_DIGESTS = {
+    "P5": "d3c10f4ac6db7d902c96264602fb3a5f94c2156370c1d0505ce967a49cd02b51",
+    "P2": "863ed2571d998e9fcdddba91968432453019c93c1f9026e877a5a813c1a89fc4",
+}
+
+HALFTONE_DIGESTS = {
+    ("threshold", "P4"): "9b127ebcdc8f851949a863d662f75dd32c652b10aa4c46d36de3812eeedacdc1",
+    ("threshold", "P1"): "e4fa128b07382873189d96d5a7bb8c4c9732c39c486fd5f3ba503c6d787cda9f",
+    ("random", "P4"): "dc6a826173b850bd01b60ac34790a3db55db2af33b240128567368a25b1746d6",
+    ("random", "P1"): "59e382781d412760471eab8930afc61d794e8545f4f1bcfcca042760e91a159c",
+    ("fs", "P4"): "d58aab81e54a00105fdb8e108ce955ce17c51e862eb222a5e200b0484e546712",
+    ("fs", "P1"): "a095ef11a74a005bb5158d01a10d6a299ab9b97bb2e338e48797e3115491b3fe",
+    ("bayer", "P4"): "3ef2d1212b73f0f89f563b2ae14626f6e50e917b3fdacda5a535aa85df371a14",
+    ("bayer", "P1"): "3729ca892441ca014ae33571a2553e8a4c2a9b305e0032751573c3651979a900",
+    ("cdot", "P4"): "57527b27578588eac31d81abc0cc0cb7ef519aace8a741e2ff58b05c8c43fe28",
+    ("cdot", "P1"): "123cd17366dce81f6fd3c3986852e638799ff54da363d09b66b1a6863ce338d4",
+    ("dotdif", "P4"): "6ec553b7282af59ab4c81d0303b706b8fc37c0710b9c7637ac214debd92d03e3",
+    ("dotdif", "P1"): "2dbd1d6c56d22530f59e36957e5ccf87bb7244c743ee51bbacd0dce3d73ade8d",
+    ("blockd", "P4"): "3149376e64123063eeb4057e8be8eae97c37c2bf1501678ae5dea6466168473b",
+    ("blockd", "P1"): "4a35c0105ea3831ac5ff42d4f4932e9bf55cf8595a5ed99b8ee429306dd43699",
+}
+
+# (channel kind, histogram) -> (records CSV digest, aggregates CSV digest)
+SWEEP_DIGESTS = {
+    ("bitflip", "binary"): (
+        "64d26e76c29743204d8b65363f67af5f02475c2dd36ce2301a65804cd6261590",
+        "c59e0d9eb6ed0219ef36fcfa14166b8f499ed4618c7d046cfd5616dba51b4159",
+    ),
+    ("bitflip", "block:8x16"): (
+        "6e451e85b8c98239f501c3e70529ac949601129751f4fe13d00dc9314123a3ca",
+        "2da9c42df438915b7e5c3721480ba6d9dfc2525307b20d34771b01ea5fd1970c",
+    ),
+    ("erase", "binary"): (
+        "8fee18c2e5bc0c2ae381ddfdf9e67ff0260a188b2415f091dffe8bc978268308",
+        "a7329699dda3e4a80200d53868ac1108569f301e208462d7989cf1569bca9eb3",
+    ),
+    ("erase", "block:8x16"): (
+        "3b392b5a83b4eeb3a63898162a4d41e2cd72b6796af2c97874d84ab0d478b40d",
+        "c47465de77cba1b2fb19c1d486c8ed6e52b713ed4cb0f054c763c536d5652518",
+    ),
+    ("block-erase", "binary"): (
+        "c37026736cacfb5a51b377faa32ce5b05deb93cbd5f9b122db4cea6b0c2ef5e8",
+        "4645a1128b61c37e4b2c7d34859b2ff0ff5350a1ba34be58c587bf8939e971d3",
+    ),
+    ("block-erase", "block:8x16"): (
+        "4dc308603b01e7754922e5358fc534bbbfa47aa05f257f25c1c5b26db0b9942d",
+        "dc6cd9fea0960de58e8b1b4dd285b83d89859522257614311f798f8c817220c7",
+    ),
+}
+
+HISTOGRAMS = {
+    "binary": HistogramSpec(mode="binary", smoothing=1e-9),
+    "block:8x16": HistogramSpec(mode="block", block=8, bins=16, smoothing=1e-9),
+}
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def scene():
+    return natural_gray(256, 256)
+
+
+@pytest.mark.parametrize("magic", sorted(GRAY_DIGESTS))
+def test_gray_bytes(tmp_path, scene, magic):
+    path = tmp_path / "scene.pgm"
+    write_gray(scene, path, ascii_format=magic == "P2")
+    assert sha256(path) == GRAY_DIGESTS[magic]
+
+
+@pytest.mark.parametrize("algo, magic", sorted(HALFTONE_DIGESTS))
+def test_halftone_bytes(tmp_path, scene, algo, magic):
+    spec = next(a for a in ALGORITHMS if a.algorithm == algo)
+    path = tmp_path / "g.pbm"
+    write_binary(halftone(scene, spec), path, ascii_format=magic == "P1")
+    assert sha256(path) == HALFTONE_DIGESTS[algo, magic]
+
+
+@pytest.mark.parametrize("kind, hist", sorted(SWEEP_DIGESTS))
+def test_sweep_csv_bytes(tmp_path, corpus_dir, kind, hist):
+    spec = SweepSpec(
+        algorithms=ALGORITHMS,
+        channel_kind=kind,
+        t_grid=(0.0, 0.3),
+        reps=2,
+        histogram=HISTOGRAMS[hist],
+        master_seed=11,
+        corpus=tuple(sorted(str(p) for p in corpus_dir.glob("*.pgm"))),
+        block=BlockSpec(3) if kind == "block-erase" else None,
+    )
+    records = run_sweep(spec)
+    write_records_csv(records, tmp_path / "records.csv")
+    write_aggregates_csv(corpus_average(records), tmp_path / "agg.csv")
+    assert (sha256(tmp_path / "records.csv"), sha256(tmp_path / "agg.csv")) == SWEEP_DIGESTS[kind, hist]

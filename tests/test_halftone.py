@@ -61,6 +61,11 @@ def test_spec_requires_algorithm_parameters():
         HalftoneSpec("random")
     with pytest.raises(ValueError, match="4 and 8"):
         HalftoneSpec("cdot", matrix_order=2)
+    with pytest.raises(ValueError, match="seed"):
+        HalftoneSpec("random", seed=7.5)
+    with pytest.raises(ValueError, match="seed"):
+        HalftoneSpec("random", seed=-1)
+    assert HalftoneSpec("random", seed=np.uint64(7)).label() == "random-s7"
 
 
 def test_spec_validates_irrelevant_parameters_but_ignores_them():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from inkchannel import (
     block_lightness_histogram,
     read_binary,
     read_gray,
+    read_image,
     write_binary,
     write_gray,
 )
@@ -59,6 +62,8 @@ def test_binary_image_rejects_non_bits():
         BinaryImage(np.array([[0, 2]]))
     with pytest.raises(ValueError):
         BinaryImage(np.array([[0.5, 0.5]]))
+    with pytest.raises(ValueError):
+        BinaryImage(np.array([[0, -1]]))
 
 
 def test_images_are_immutable_after_construction():
@@ -221,6 +226,76 @@ def test_binary_round_trip_both_forms(tmp_path_factory, img):
         write_binary(img, path, ascii_format=ascii_format)
         back = read_binary(path)
         assert np.array_equal(back.bits, img.bits)
+
+
+# ---------------------------------------------------------------------------
+# netpbm edge cases
+# ---------------------------------------------------------------------------
+
+NETPBM_CASES = [
+    # comments anywhere, including inside and right after payload samples
+    (b"P1\n3 2\n1 0#c\n1\n# line\n0 1 1\n", [[1, 0, 1], [0, 1, 1]]),
+    (b"P2\n2 2\n255\n10 # x\n20#y\n30\n#\n40", [[10, 20], [30, 40]]),
+    (b"P2 2 1 255 1#c", "truncated payload: expected 2 samples, got 1"),
+    # P1 digits need no separators
+    (b"P1\n3 2\n101\n011", [[1, 0, 1], [0, 1, 1]]),
+    (b"P1 2 2 0110", [[0, 1], [1, 0]]),
+    # int() accepts a sign and digit underscores
+    (b"P2 2 1 255 +5 5_0", [[5, 50]]),
+    # whatever follows the last sample is ignored
+    (b"P2 1 1 255 7 junk 999", [[7]]),
+    (b"P1 2 1 10xyz", [[1, 0]]),
+    (b"P5 1 1 255\n\x07trailing", [[7]]),
+    # truncated payloads
+    (b"P2 2 2 255 1 2 3", "truncated payload: expected 4 samples, got 3"),
+    (b"P1 2 2 011", "truncated payload: expected 4 bits, got 3"),
+    (b"P1 2 2 ", "truncated payload: expected 4 bits, got 0"),
+    (b"P5 2 2 255\n\x00", "truncated payload: expected 4 bytes, got 1"),
+    (b"P4 9 2\n\x00\x00", "truncated payload: expected 4 bytes, got 2"),
+    # bad samples; the first bad one in file order is reported
+    (b"P2 1 1 255 256", "malformed payload sample 256 (out of 0..255)"),
+    (b"P2 1 1 255 -1", "malformed payload sample -1 (out of 0..255)"),
+    (b"P2 2 1 255 x 300", "malformed payload sample b'x'"),
+    (b"P2 2 1 255 300 x", "malformed payload sample 300 (out of 0..255)"),
+    (b"P2 1 1 255 99999999999999999999999", "malformed payload sample 99999999999999999999999"),
+    (b"P1 3 1 1 2 x", "unexpected byte b'2' in P1 raster"),
+    (b"P1 2 1 1", "truncated payload: expected 2 bits, got 1"),
+    # headers claiming 10**6 x 10**6 pixels over a few bytes of payload
+    (b"P1\n1000000 1000000\n0 1 1 0\n", "truncated payload: expected 1000000000000 bits, got 4"),
+    (b"P2\n1000000 1000000\n255\n7 8\n", "truncated payload: expected 1000000000000 samples, got 2"),
+    (b"P5 1000000 1000000 255\n\x00", "truncated payload: expected 1000000000000 bytes, got 1"),
+    (b"P4 1000000 1000000\n\x00", "truncated payload: expected 125000000000 bytes, got 1"),
+    # headers
+    (b"P3 1 1 255 0", "not a PGM/PBM file"),
+    (b"P2 0 1 255", "bad dimensions 0x1"),
+    (b"P2 1 1", "malformed header: unexpected end of file"),
+    (b"P5 1 1 255", "missing separator before raster"),
+]
+
+
+@pytest.mark.parametrize("data, expected", NETPBM_CASES)
+def test_netpbm_edge_cases(tmp_path, data, expected):
+    path = tmp_path / "edge"
+    path.write_bytes(data)
+    if isinstance(expected, str):
+        with pytest.raises(NetpbmError, match=re.escape(expected)):
+            read_image(path)
+    else:
+        img = read_image(path)
+        values = img.pixels if isinstance(img, GrayImage) else img.bits
+        assert values.tolist() == expected
+
+
+def test_read_image_types_and_format_restrictions(tmp_path):
+    pgm, pbm = tmp_path / "a.pgm", tmp_path / "a.pbm"
+    write_gray(gray([[1, 2]]), pgm)
+    write_binary(binimg([[1, 0]]), pbm)
+    assert isinstance(read_image(pgm), GrayImage)
+    assert isinstance(read_image(pbm), BinaryImage)
+    with pytest.raises(NetpbmError, match="not a PGM file"):
+        read_gray(pbm)
+    with pytest.raises(NetpbmError, match="not a PBM file"):
+        read_binary(pgm)
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,10 @@ def test_sweep_spec_validation(corpus_dir):
         small_spec(corpus_dir, reps=0)
     with pytest.raises(ValueError):
         small_spec(corpus_dir, t_grid=(0.5, 1.5))
+    with pytest.raises(ValueError, match="seed"):
+        small_spec(corpus_dir, master_seed=-1)
+    with pytest.raises(ValueError, match="seed"):
+        small_spec(corpus_dir, master_seed=1.5)
 
 
 # ---------------------------------------------------------------------------
