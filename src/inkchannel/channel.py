@@ -41,12 +41,17 @@ _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 
 
-def _check_seed(seed: int) -> int:
-    """Return ``seed`` as an int in 0 .. 2**64 - 1; floats, even 7.0, are rejected."""
+def _check_int(value, what: str) -> int:
+    """Return ``value`` as an int; floats, even 7.0, are rejected."""
     try:
-        seed = operator.index(seed)
+        return operator.index(value)
     except TypeError:
-        raise ValueError(f"seed must be an integer, got {seed!r}") from None
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _check_seed(seed: int) -> int:
+    """Return ``seed`` as an int in 0 .. 2**64 - 1."""
+    seed = _check_int(seed, "seed")
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     return seed
@@ -82,8 +87,16 @@ class BlockSpec:
     size: int
 
     def __post_init__(self):
-        if self.size < 3 or self.size % 2 == 0:
+        if _check_int(self.size, "block size") < 3 or self.size % 2 == 0:
             raise ValueError(f"block size must be odd and >= 3, got {self.size}")
+
+
+def _check_kind(kind: str, block: BlockSpec | None) -> None:
+    """The channel-kind rule: a known kind, with a block exactly for block erase."""
+    if kind not in CHANNEL_KINDS:
+        raise ValueError(f"unknown channel kind {kind!r} (expected one of {CHANNEL_KINDS})")
+    if (block is not None) != (kind == "block-erase"):
+        raise ValueError("block spec must be present exactly when kind is 'block-erase'")
 
 
 @dataclass(frozen=True)
@@ -96,10 +109,7 @@ class ChannelConfig:
     block: BlockSpec | None = None
 
     def __post_init__(self):
-        if self.kind not in CHANNEL_KINDS:
-            raise ValueError(f"unknown channel kind {self.kind!r} (expected one of {CHANNEL_KINDS})")
-        if (self.block is not None) != (self.kind == "block-erase"):
-            raise ValueError("block spec must be present exactly when kind is 'block-erase'")
+        _check_kind(self.kind, self.block)
         _check_seed(self.seed)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _check_seed
+from .channel import _check_int, _check_seed
 from .imagery import BinaryImage, GrayImage
 
 __all__ = [
@@ -31,11 +31,6 @@ __all__ = [
     "dot_diffusion_classes",
     "screen_catalog",
 ]
-
-ALGORITHMS = ("threshold", "random", "fs", "bayer", "cdot", "dotdif", "blockd")
-
-DEFAULT_THRESHOLD_LEVEL = 0.5
-DEFAULT_MATRIX_ORDER = 8
 
 _BAYER_BASE = np.array([[0, 2], [3, 1]], dtype=np.int64)
 
@@ -134,38 +129,31 @@ class HalftoneSpec:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r} (expected one of {ALGORITHMS})")
-        if self.h is not None and self.h < 1:
+        if self.h is not None and _check_int(self.h, "block size h") < 1:
             raise ValueError(f"block size h must be >= 1, got {self.h}")
         if self.level is not None and not 0.0 <= self.level <= 1.0:
             raise ValueError(f"threshold level must lie in [0, 1], got {self.level}")
         if self.seed is not None:
             _check_seed(self.seed)
-        if self.matrix_order is not None and self.matrix_order not in (2, 4, 8):
+        if self.matrix_order is not None and _check_int(self.matrix_order, "matrix order") not in (2, 4, 8):
             raise ValueError(f"matrix order must be 2, 4, or 8, got {self.matrix_order}")
-        if self.algorithm == "blockd" and self.h is None:
-            raise ValueError("blockd requires a block size h")
-        if self.algorithm == "random" and self.seed is None:
-            raise ValueError("random requires an explicit seed")
+        _, field, _, default = _REGISTRY[self.algorithm]
+        if isinstance(default, _Required) and getattr(self, field) is None:
+            raise ValueError(f"{self.algorithm} requires {default}")
         if self.algorithm == "cdot" and self.matrix_order == 2:
             raise ValueError("cdot supports matrix orders 4 and 8 only")
 
     def label(self) -> str:
         """Stable identifier used in reports and CSV output (h is reported
         in its own column, so blockd specs share the bare label)."""
-        a = self.algorithm
-        if a == "threshold":
-            return f"threshold-l{self._level()!r}"
-        if a == "random":
-            return f"random-s{self.seed}"
-        if a in ("bayer", "cdot"):
-            return f"{a}-o{self._order()}"
-        return a
+        tag = _REGISTRY[self.algorithm][2]
+        return f"{self.algorithm}-{tag}{self._param()!s}" if tag else self.algorithm
 
-    def _level(self) -> float:
-        return DEFAULT_THRESHOLD_LEVEL if self.level is None else self.level
-
-    def _order(self) -> int:
-        return DEFAULT_MATRIX_ORDER if self.matrix_order is None else self.matrix_order
+    def _param(self):
+        """The value of the one field this algorithm takes, or its default."""
+        _, field, _, default = _REGISTRY[self.algorithm]
+        value = None if field is None else getattr(self, field)
+        return default if value is None else value
 
 
 def _darkness(img: GrayImage) -> np.ndarray:
@@ -174,22 +162,8 @@ def _darkness(img: GrayImage) -> np.ndarray:
 
 def halftone(img: GrayImage, spec: HalftoneSpec) -> BinaryImage:
     """Dispatch to the named algorithm; deterministic given (img, spec)."""
-    a = spec.algorithm
-    if a == "threshold":
-        return halftone_threshold(img, spec._level())
-    if a == "random":
-        return halftone_random(img, spec.seed)
-    if a == "fs":
-        return halftone_floyd_steinberg(img)
-    if a == "bayer":
-        return halftone_bayer(img, spec._order())
-    if a == "cdot":
-        return halftone_clustered_dot(img, spec._order())
-    if a == "dotdif":
-        return halftone_dot_diffusion(img)
-    if a == "blockd":
-        return halftone_block_d(img, spec.h)
-    raise ValueError(f"unknown algorithm {a!r}")
+    kernel, field = _REGISTRY[spec.algorithm][:2]
+    return kernel(img) if field is None else kernel(img, spec._param())
 
 
 def halftone_threshold(img: GrayImage, level: float) -> BinaryImage:
@@ -322,3 +296,22 @@ def halftone_block_d(img: GrayImage, h: int) -> BinaryImage:
             sub[np.argsort(-flat, kind="stable")[:k]] = 1
             out[y0 : y0 + h, x0 : x0 + h] = sub.reshape(tile.shape)
     return BinaryImage(out)
+
+
+class _Required(str):
+    """Registry marker for a field without a default; the text names it in errors."""
+
+
+# name -> (kernel, the one HalftoneSpec field it takes or None, label tag or
+# "" for the bare name, default value or _Required)
+_REGISTRY = {
+    "threshold": (halftone_threshold, "level", "l", 0.5),
+    "random": (halftone_random, "seed", "s", _Required("an explicit seed")),
+    "fs": (halftone_floyd_steinberg, None, "", None),
+    "bayer": (halftone_bayer, "matrix_order", "o", 8),
+    "cdot": (halftone_clustered_dot, "matrix_order", "o", 8),
+    "dotdif": (halftone_dot_diffusion, None, "", None),
+    "blockd": (halftone_block_d, "h", "", _Required("a block size h")),
+}
+
+ALGORITHMS = tuple(_REGISTRY)

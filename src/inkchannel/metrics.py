@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NoisePower, derive_seed, gen_noise
+from .channel import NoisePower, _check_int, derive_seed, gen_noise
 from .imagery import BinaryImage, GrayImage, Histogram, binary_histogram, block_lightness_histogram
 
 __all__ = [
@@ -49,9 +49,9 @@ class HistogramSpec:
         if self.mode == "block":
             if self.block is None or self.bins is None:
                 raise ValueError("block mode requires block size and bin count")
-            if self.block < 1:
+            if _check_int(self.block, "block size") < 1:
                 raise ValueError(f"block size must be >= 1, got {self.block}")
-            if self.bins < 2:
+            if _check_int(self.bins, "bin count") < 2:
                 raise ValueError(f"bin count must be >= 2, got {self.bins}")
         if self.smoothing is not None and not self.smoothing > 0:
             raise ValueError(f"additive smoothing constant must be > 0, got {self.smoothing}")

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .channel import BlockSpec, CHANNEL_KINDS, ChannelConfig, NoisePower, _check_seed, derive_seed, transmit
+from .channel import BlockSpec, ChannelConfig, NoisePower, _check_int, _check_kind, _check_seed, derive_seed, transmit
 from .halftone import HalftoneSpec, halftone
 from .imagery import read_gray
 from .metrics import HistogramSpec, euclidean_distance, image_relative_entropy
@@ -41,6 +42,8 @@ __all__ = [
 
 RECORD_FIELDS = ("algo", "image", "noise_kind", "t", "h", "rep", "seed", "q_bits", "e_dist", "f_in", "f_out")
 AGGREGATE_FIELDS = ("algo", "noise_kind", "t", "h", "mean_q", "stderr_q", "n")
+_TEXT_FIELDS = ("algo", "image", "noise_kind")
+_FLOAT_FIELDS = ("t", "q_bits", "e_dist", "f_in", "f_out")  # the rest are integers; h may be empty
 
 DEFAULT_TIE_TOLERANCE = 1e-12
 
@@ -68,19 +71,31 @@ class SweepSpec:
             raise ValueError("sweep needs at least one algorithm")
         if not all(isinstance(a, HalftoneSpec) for a in self.algorithms):
             raise ValueError("algorithms must be HalftoneSpec instances")
-        if self.channel_kind not in CHANNEL_KINDS:
-            raise ValueError(f"unknown channel kind {self.channel_kind!r}")
-        if (self.block is not None) != (self.channel_kind == "block-erase"):
-            raise ValueError("block spec must be present exactly when kind is 'block-erase'")
+        _check_kind(self.channel_kind, self.block)
         if not self.t_grid:
             raise ValueError("sweep needs a non-empty t grid")
         for t in self.t_grid:
             NoisePower(t)  # range check
-        if self.reps < 1:
+        if _check_int(self.reps, "reps") < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
         _check_seed(self.master_seed)
         if not self.corpus:
             raise ValueError("sweep needs a non-empty corpus")
+        # Records key on (label, h), t and the image's file name, so a repeat would merge
+        # groups silently; the same image path listed twice is a deliberate double weight.
+        for what, values in (
+            ("(algorithm, h)", map(_family, self.algorithms)),
+            ("t", self.t_grid),
+            ("image name", (p.name for p in sorted(set(map(Path, self.corpus))))),
+        ):
+            repeated = [v for v, n in Counter(values).items() if n > 1]
+            if repeated:
+                raise ValueError(f"sweep repeats {what} {repeated[0]!r}; its records would merge")
+
+
+def _family(alg: HalftoneSpec) -> tuple[str, int | None]:
+    """(algo, h) as records carry them; h is filled for blockd only."""
+    return alg.label(), alg.h if alg.algorithm == "blockd" else None
 
 
 @dataclass(frozen=True)
@@ -98,9 +113,9 @@ class RobustnessRecord:
     f_out: float
 
     def __post_init__(self):
-        if self.q_bits < 0:
-            raise ValueError(f"divergence must be >= 0, got {self.q_bits}")
-        for name in ("f_in", "f_out"):
+        if not 0.0 <= self.q_bits <= math.inf:
+            raise ValueError(f"divergence must lie in [0, inf], got {self.q_bits}")
+        for name in ("e_dist", "f_in", "f_out"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
@@ -132,18 +147,13 @@ def _run_task(spec: SweepSpec, algo_idx: int, img_idx: int) -> list[RobustnessRe
     """All (t, rep) cells for one (algorithm, image); the halftone is computed once."""
     alg = spec.algorithms[algo_idx]
     path = spec.corpus[img_idx]
-    cell = f"algorithm {alg.label()!r}, image {path!r}"
+    label, h = _family(alg)
+    cell = f"algorithm {label!r}, image {path!r}"
     try:
-        img = read_gray(path)
-    except Exception as exc:
-        raise SweepError(f"sweep aborted at {cell}: {exc}") from exc
-    try:
-        g = halftone(img, alg)
+        g = halftone(read_gray(path), alg)
     except Exception as exc:
         raise SweepError(f"sweep aborted at {cell}: {exc}") from exc
     f_in = g.ink_fraction()
-    h = alg.h if alg.algorithm == "blockd" else None
-    label = alg.label()
     image_id = Path(path).name
     n_t, reps = len(spec.t_grid), spec.reps
     n_img = len(spec.corpus)
@@ -152,23 +162,26 @@ def _run_task(spec: SweepSpec, algo_idx: int, img_idx: int) -> list[RobustnessRe
         for rep in range(reps):
             index = ((algo_idx * n_img + img_idx) * n_t + ti) * reps + rep
             seed = derive_seed(spec.master_seed, index)
-            cfg = ChannelConfig(kind=spec.channel_kind, power=NoisePower(t), seed=seed, block=spec.block)
-            gp = transmit(g, cfg)
-            records.append(
-                RobustnessRecord(
-                    algo=label,
-                    image=image_id,
-                    noise_kind=spec.channel_kind,
-                    t=t,
-                    h=h,
-                    rep=rep,
-                    seed=seed,
-                    q_bits=image_relative_entropy(g, gp, spec.histogram),
-                    e_dist=euclidean_distance(g, gp),
-                    f_in=f_in,
-                    f_out=gp.ink_fraction(),
+            try:
+                cfg = ChannelConfig(kind=spec.channel_kind, power=NoisePower(t), seed=seed, block=spec.block)
+                gp = transmit(g, cfg)
+                records.append(
+                    RobustnessRecord(
+                        algo=label,
+                        image=image_id,
+                        noise_kind=spec.channel_kind,
+                        t=t,
+                        h=h,
+                        rep=rep,
+                        seed=seed,
+                        q_bits=image_relative_entropy(g, gp, spec.histogram),
+                        e_dist=euclidean_distance(g, gp),
+                        f_in=f_in,
+                        f_out=gp.ink_fraction(),
+                    )
                 )
-            )
+            except Exception as exc:
+                raise SweepError(f"sweep aborted at {cell}, t={t!r}, rep={rep}, seed={seed}: {exc}") from exc
     return records
 
 
@@ -325,45 +338,39 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_records_csv(records, path) -> None:
+def _write_csv(rows, fields, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RECORD_FIELDS)
-        for r in records:
-            writer.writerow([
-                r.algo, r.image, r.noise_kind, _fmt(r.t), _fmt(r.h), r.rep, r.seed,
-                _fmt(r.q_bits), _fmt(r.e_dist), _fmt(r.f_in), _fmt(r.f_out),
-            ])
+        writer.writerow(fields)
+        writer.writerows([_fmt(getattr(r, f)) for f in fields] for r in rows)
+
+
+def write_records_csv(records, path) -> None:
+    _write_csv(records, RECORD_FIELDS, path)
+
+
+def _parse_field(name: str, text: str):
+    if name in _TEXT_FIELDS:
+        return text
+    if name in _FLOAT_FIELDS:
+        return float(text)
+    return None if name == "h" and not text else int(text)
 
 
 def read_records_csv(path) -> list[RobustnessRecord]:
+    """Records from a CSV written by write_records_csv; a bad row is a ValueError naming its line."""
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != list(RECORD_FIELDS):
             raise ValueError(f"unexpected record CSV header {reader.fieldnames}")
         for row in reader:
-            records.append(
-                RobustnessRecord(
-                    algo=row["algo"],
-                    image=row["image"],
-                    noise_kind=row["noise_kind"],
-                    t=float(row["t"]),
-                    h=int(row["h"]) if row["h"] else None,
-                    rep=int(row["rep"]),
-                    seed=int(row["seed"]),
-                    q_bits=float(row["q_bits"]),
-                    e_dist=float(row["e_dist"]),
-                    f_in=float(row["f_in"]),
-                    f_out=float(row["f_out"]),
-                )
-            )
+            try:
+                records.append(RobustnessRecord(**{f: _parse_field(f, row[f]) for f in RECORD_FIELDS}))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     return records
 
 
 def write_aggregates_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(AGGREGATE_FIELDS)
-        for r in rows:
-            writer.writerow([r.algo, r.noise_kind, _fmt(r.t), _fmt(r.h), _fmt(r.mean_q), _fmt(r.stderr_q), r.n])
+    _write_csv(rows, AGGREGATE_FIELDS, path)

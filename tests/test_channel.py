@@ -257,6 +257,8 @@ def test_block_spec_must_be_odd():
         BlockSpec(4)
     with pytest.raises(ValueError):
         BlockSpec(1)
+    with pytest.raises(ValueError, match="integer"):
+        BlockSpec(3.0)
     BlockSpec(3)
 
 

@@ -313,6 +313,32 @@ def test_sweep_unknown_algorithm_config(capsys, tmp_path, corpus_dir):
     assert "dither" in stderr
 
 
+@pytest.mark.parametrize(
+    "algorithms, extra",
+    [
+        ("fs, fs", ""),
+        ("threshold, threshold:level=0.5", ""),
+        ("fs", "block = 3\n"),  # block with kind bitflip
+    ],
+)
+def test_sweep_config_rejected_by_spec(capsys, tmp_path, corpus_dir, algorithms, extra):
+    cfg = tmp_path / "sweep.cfg"
+    write_config(cfg, corpus_dir, algorithms=algorithms, extra=extra)
+    code, _, stderr = run(capsys, "sweep", "--spec", str(cfg), "--out", str(tmp_path / "r.csv"))
+    assert code == 2
+    assert str(cfg) in stderr and "Traceback" not in stderr
+
+
+def test_sweep_failing_cell_exits_3(capsys, tmp_path, corpus_dir):
+    tiny = tmp_path / "tiny.pgm"
+    write_gray(constant_gray(90, 4, 4), tiny)
+    cfg = tmp_path / "sweep.cfg"
+    write_config(cfg, tiny, algorithms="fs", extra="hist = block:8x16\n")
+    code, _, stderr = run(capsys, "sweep", "--spec", str(cfg), "--out", str(tmp_path / "r.csv"))
+    assert code == 3
+    assert "tiny.pgm" in stderr and "rep=0" in stderr and "Traceback" not in stderr
+
+
 def test_sweep_zero_noise_rows_present(capsys, tmp_path, corpus_dir):
     cfg = tmp_path / "sweep.cfg"
     write_config(cfg, corpus_dir, algorithms="fs")
@@ -332,6 +358,12 @@ def test_compare_command(capsys, tmp_path, corpus_dir):
     assert "t=0" in stdout and "->" in stdout
     code, _, stderr = run(capsys, "compare", "--records", str(out), "--a", "nope", "--b", "blockd")
     assert code == 2 and "nope" in stderr
+    lines = out.read_text().splitlines()
+    fields = lines[1].split(",")
+    fields[7] = "nan"  # q_bits
+    out.write_text("\n".join([lines[0], ",".join(fields)] + lines[2:]) + "\n")
+    code, _, stderr = run(capsys, "compare", "--records", str(out), "--a", "fs", "--b", "blockd")
+    assert code == 2 and f"{out}:2:" in stderr and "Traceback" not in stderr
 
 
 # ---------------------------------------------------------------------------

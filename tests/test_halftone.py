@@ -65,6 +65,10 @@ def test_spec_requires_algorithm_parameters():
         HalftoneSpec("random", seed=7.5)
     with pytest.raises(ValueError, match="seed"):
         HalftoneSpec("random", seed=-1)
+    with pytest.raises(ValueError, match="integer"):
+        HalftoneSpec("blockd", h=2.5)
+    with pytest.raises(ValueError, match="integer"):
+        HalftoneSpec("bayer", matrix_order=4.0)
     assert HalftoneSpec("random", seed=np.uint64(7)).label() == "random-s7"
 
 

@@ -208,6 +208,10 @@ def test_histogram_spec_validation():
         HistogramSpec(mode="block", block=0, bins=4)
     with pytest.raises(ValueError):
         HistogramSpec(smoothing=-1.0)
+    with pytest.raises(ValueError, match="integer"):
+        HistogramSpec(mode="block", block=4.0, bins=8)
+    with pytest.raises(ValueError, match="integer"):
+        HistogramSpec(mode="block", block=4, bins=8.5)
     HistogramSpec(mode="block", block=4, bins=8, smoothing=1e-9)
 
 

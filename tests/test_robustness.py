@@ -5,6 +5,7 @@ import pytest
 
 from inkchannel import (
     BlockSpec,
+    GrayImage,
     HalftoneSpec,
     HistogramSpec,
     RobustnessRecord,
@@ -16,6 +17,7 @@ from inkchannel import (
     is_epsilon_robust,
     read_records_csv,
     run_sweep,
+    write_gray,
     write_records_csv,
 )
 from inkchannel.robustness import write_aggregates_csv
@@ -107,6 +109,14 @@ def test_sweep_unreadable_image_names_cell(corpus_dir, tmp_path):
         run_sweep(spec)
 
 
+def test_sweep_failing_cell_names_itself(corpus_dir, tmp_path):
+    tiny = tmp_path / "tiny.pgm"
+    write_gray(GrayImage(np.full((4, 4), 90, dtype=np.uint8)), tiny)
+    spec = small_spec(corpus_dir, corpus=(str(tiny),), histogram=HistogramSpec(mode="block", block=8, bins=16))
+    with pytest.raises(SweepError, match=r"image '.*tiny\.pgm', t=0\.0, rep=0, seed=\d+: block 8 larger"):
+        run_sweep(spec)
+
+
 def test_sweep_block_erase_needs_block(corpus_dir):
     with pytest.raises(ValueError):
         small_spec(corpus_dir, channel_kind="block-erase")
@@ -130,6 +140,24 @@ def test_sweep_spec_validation(corpus_dir):
         small_spec(corpus_dir, master_seed=-1)
     with pytest.raises(ValueError, match="seed"):
         small_spec(corpus_dir, master_seed=1.5)
+    with pytest.raises(ValueError, match="integer"):
+        small_spec(corpus_dir, reps=2.0)
+
+
+def test_sweep_spec_rejects_axes_that_would_merge(corpus_dir, tmp_path):
+    with pytest.raises(ValueError, match="algorithm"):
+        small_spec(corpus_dir, algorithms=(HalftoneSpec("fs"), HalftoneSpec("fs")))
+    with pytest.raises(ValueError, match="threshold-l0.5"):
+        small_spec(corpus_dir, algorithms=(HalftoneSpec("threshold"), HalftoneSpec("threshold", level=0.5)))
+    with pytest.raises(ValueError, match="repeats t 0.1"):
+        small_spec(corpus_dir, t_grid=(0.1, 0.1))
+    path = sorted(corpus_dir.glob("*.pgm"))[0]
+    twin = tmp_path / path.name
+    twin.write_bytes(path.read_bytes())
+    with pytest.raises(ValueError, match=path.name):
+        small_spec(corpus_dir, corpus=(str(path), str(twin)))
+    small_spec(corpus_dir, algorithms=(HalftoneSpec("blockd", h=3), HalftoneSpec("blockd", h=5)))
+    small_spec(corpus_dir, corpus=(str(path), f"{path.parent}/./{path.name}"))  # one image listed twice
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +352,18 @@ def test_record_invariants_enforced():
         rec(q=-0.1)
     with pytest.raises(ValueError):
         rec(f_in=1.5)
+    for bad in (dict(q=math.nan), dict(e_dist=math.nan), dict(e_dist=1.5), dict(f_out=math.inf), dict(f_in=math.nan)):
+        with pytest.raises(ValueError):
+            rec(**bad)
+    assert rec(q=math.inf).q_bits == math.inf
+
+
+def test_read_records_csv_rejects_nan(tmp_path):
+    path = tmp_path / "records.csv"
+    write_records_csv([rec(q=0.25)], path)
+    path.write_text(path.read_text() + "fs,a.pgm,bitflip,0.1,,1,1,nan,0.0,0.5,0.5\n")
+    with pytest.raises(ValueError, match=r"records\.csv:3: divergence"):
+        read_records_csv(path)
 
 
 def test_bitflip_q_matches_bernoulli_kl_oracle():
