@@ -124,7 +124,7 @@ def gen_noise(width: int, height: int, power: NoisePower, seed: int) -> BinaryIm
     Draws come from PCG64(seed) in row-major order; the field is fully
     determined by (width, height, power, seed).
     """
-    if width < 1 or height < 1:
+    if _check_int(width, "width") < 1 or _check_int(height, "height") < 1:
         raise ValueError(f"noise field dimensions must be >= 1, got {width}x{height}")
     rng = np.random.Generator(np.random.PCG64(_check_seed(seed)))
     r = rng.integers(0, 256, size=(height, width), dtype=np.uint8)
@@ -169,21 +169,16 @@ def transmit_block_erase(g: BinaryImage, power: NoisePower, block: BlockSpec, se
     The image is tiled into non-overlapping size x size blocks with the center
     at offset ((size-1)/2, (size-1)/2).  A tile whose center bit is 1 becomes
     v OR g; tiles with center 0, and edge tiles too small to contain a center,
-    pass through unchanged.
+    pass through unchanged.  This is the erase gate with control v AND a mask
+    that spreads each tile's center bit over its tile.
     """
     v = gen_noise(g.width, g.height, power, seed)
-    size = block.size
-    c = (size - 1) // 2
-    out = g.bits.copy()
-    for y0 in range(0, g.height, size):
-        for x0 in range(0, g.width, size):
-            yc, xc = y0 + c, x0 + c
-            if yc >= g.height or xc >= g.width:
-                continue
-            if g.bits[yc, xc]:
-                tile = (slice(y0, y0 + size), slice(x0, x0 + size))
-                out[tile] = v.bits[tile] | g.bits[tile]
-    return BinaryImage(out)
+    size, c = block.size, (block.size - 1) // 2
+    centres = g.bits[c::size, c::size]  # only the tiles that contain their center
+    padded = np.zeros((-(-g.height // size), -(-g.width // size)), dtype=np.uint8)
+    padded[: centres.shape[0], : centres.shape[1]] = centres
+    mask = padded.repeat(size, axis=0).repeat(size, axis=1)[: g.height, : g.width]
+    return apply_gate(BinaryImage(v.bits & mask), g, "set1")
 
 
 def transmit(g: BinaryImage, cfg: ChannelConfig) -> BinaryImage:

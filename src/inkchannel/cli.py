@@ -120,7 +120,37 @@ def _load_binary(path: str, flag: str) -> imagery.BinaryImage:
 # sweep config file
 # ---------------------------------------------------------------------------
 
-_SWEEP_KEYS = ("algorithms", "kind", "block", "t_grid", "reps", "hist", "smoothing", "seed", "corpus")
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"bad integer {text!r}") from None
+
+
+def _expand_corpus(text: str) -> list[str]:
+    """Comma-separated .pgm files and directories; a directory gives its .pgm files, sorted."""
+    corpus: list[str] = []
+    for tok in filter(None, (tok.strip() for tok in text.split(","))):
+        found = sorted(str(f) for f in Path(tok).glob("*.pgm")) if Path(tok).is_dir() else [tok]
+        if not found:
+            raise ValueError(f"directory {tok!r} contains no .pgm files")
+        corpus.extend(found)
+    return corpus
+
+
+# config key -> (SweepSpec field, value parser); "smoothing" meets "histogram" after the parse
+_SWEEP_KEYS = {
+    "algorithms": ("algorithms", lambda v: [_parse_algorithm_token(tok) for tok in v.split(",") if tok.strip()]),
+    "kind": ("channel_kind", str),
+    "block": ("block", lambda v: channel.BlockSpec(_parse_int(v))),
+    "t_grid": ("t_grid", lambda v: _parse_float_list(v, "t_grid")),
+    "reps": ("reps", _parse_int),
+    "hist": ("histogram", lambda v: _parse_hist(v, None)),
+    "smoothing": ("smoothing", _parse_smoothing),
+    "seed": ("master_seed", _parse_int),
+    "corpus": ("corpus", _expand_corpus),
+}
+_REQUIRED_KEYS = ("algorithms", "kind", "t_grid", "reps", "seed", "corpus")
 
 
 def parse_sweep_config(path) -> robustness.SweepSpec:
@@ -129,98 +159,32 @@ def parse_sweep_config(path) -> robustness.SweepSpec:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    raw: dict[str, tuple[int, str]] = {}
+    fields: dict = {}
     for lineno, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if "=" not in stripped:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line.strip()!r}")
-        key, _, value = stripped.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _SWEEP_KEYS:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r} (expected one of {_SWEEP_KEYS})")
-        if key in raw:
-            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-        if not value:
-            raise ValueError(f"{path}:{lineno}: empty value for {key!r}")
-        raw[key] = (lineno, value)
-
-    def need(key: str) -> tuple[int, str]:
-        if key not in raw:
-            raise ValueError(f"{path}: missing required key {key!r}")
-        return raw[key]
-
-    def fail(key: str, exc) -> ValueError:
-        return ValueError(f"{path}:{raw[key][0]}: {exc}")
-
-    try:
-        algorithms = tuple(_parse_algorithm_token(tok) for tok in need("algorithms")[1].split(",") if tok.strip())
-        if not algorithms:
-            raise ValueError("no algorithms listed")
-    except ValueError as exc:
-        raise fail("algorithms", exc) from None
-
-    kind = need("kind")[1]
-    block = None
-    if "block" in raw:
+        key, eq, value = (part.strip() for part in stripped.partition("="))
         try:
-            block = channel.BlockSpec(int(raw["block"][1]))
+            if not eq:
+                raise ValueError(f"expected 'key = value', got {line.strip()!r}")
+            if key not in _SWEEP_KEYS:
+                raise ValueError(f"unknown key {key!r} (expected one of {tuple(_SWEEP_KEYS)})")
+            field, parse = _SWEEP_KEYS[key]
+            if field in fields:
+                raise ValueError(f"duplicate key {key!r}")
+            if not value:
+                raise ValueError(f"empty value for {key!r}")
+            fields[field] = parse(value)
         except ValueError as exc:
-            raise fail("block", exc) from None
-
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    missing = [key for key in _REQUIRED_KEYS if _SWEEP_KEYS[key][0] not in fields]
+    if missing:
+        raise ValueError(f"{path}: missing required key {missing[0]!r}")
+    smoothing = fields.pop("smoothing", DEFAULT_SWEEP_SMOOTHING)
+    fields["histogram"] = dataclasses.replace(fields.get("histogram", metrics.HistogramSpec()), smoothing=smoothing)
     try:
-        t_grid = tuple(_parse_float_list(need("t_grid")[1], "t_grid"))
-    except ValueError as exc:
-        raise fail("t_grid", exc) from None
-
-    try:
-        reps = int(need("reps")[1])
-    except ValueError:
-        raise fail("reps", f"bad integer {raw['reps'][1]!r}") from None
-
-    try:
-        lam = _parse_smoothing(raw["smoothing"][1]) if "smoothing" in raw else DEFAULT_SWEEP_SMOOTHING
-    except ValueError as exc:
-        raise fail("smoothing", exc) from None
-    try:
-        histogram = _parse_hist(raw["hist"][1] if "hist" in raw else "binary", lam)
-    except ValueError as exc:
-        raise fail("hist", exc) from None
-
-    try:
-        seed = int(need("seed")[1])
-    except ValueError:
-        raise fail("seed", f"bad integer {raw['seed'][1]!r}") from None
-
-    corpus_value = need("corpus")[1]
-    corpus: list[str] = []
-    for tok in corpus_value.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        p = Path(tok)
-        if p.is_dir():
-            found = sorted(str(f) for f in p.glob("*.pgm"))
-            if not found:
-                raise fail("corpus", f"directory {tok!r} contains no .pgm files")
-            corpus.extend(found)
-        else:
-            corpus.append(tok)
-    if not corpus:
-        raise fail("corpus", "no corpus images")
-
-    try:
-        return robustness.SweepSpec(
-            algorithms=algorithms,
-            channel_kind=kind,
-            t_grid=t_grid,
-            reps=reps,
-            histogram=histogram,
-            master_seed=seed,
-            corpus=tuple(corpus),
-            block=block,
-        )
+        return robustness.SweepSpec(**fields)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -474,7 +438,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (OSError, imagery.NetpbmError, robustness.SweepError) as exc:
+    except (OSError, MemoryError, imagery.NetpbmError, robustness.SweepError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

@@ -290,11 +290,9 @@ def block_lightness_histogram(img: BinaryImage, block: int, bins: int) -> Histog
         raise ValueError("bin count must be >= 2")
     if block > img.width and block > img.height:
         raise ValueError(f"block {block} larger than both image dimensions {img.width}x{img.height}")
-    counts = np.zeros(bins, dtype=np.float64)
-    bits = img.bits
-    for y0 in range(0, img.height, block):
-        for x0 in range(0, img.width, block):
-            density = float(bits[y0 : y0 + block, x0 : x0 + block].mean())
-            idx = min(int(density * bins), bins - 1)
-            counts[idx] += 1.0
+    ys, xs = np.arange(0, img.height, block), np.arange(0, img.width, block)
+    ink = np.add.reduceat(np.add.reduceat(img.bits, ys, axis=0, dtype=np.int64), xs, axis=1, dtype=np.int64)
+    area = np.outer(np.diff(ys, append=img.height), np.diff(xs, append=img.width))
+    idx = np.minimum((ink / area * bins).astype(np.int64), bins - 1)
+    counts = np.bincount(idx.ravel(), minlength=bins).astype(np.float64)
     return Histogram(counts / counts.sum())

@@ -140,7 +140,7 @@ def noise_entropy_curve(
     off (seed, cell index), so the result is reproducible and independent of
     any execution order.
     """
-    if reps < 1:
+    if _check_int(reps, "reps") < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     rows = []
     for ti, t in enumerate(t_grid):

@@ -192,12 +192,15 @@ def _run_task_star(args) -> list[RobustnessRecord]:
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[RobustnessRecord]:
     """One record per (algorithm, image, t, rep), in canonical order.
 
-    ``jobs`` > 1 distributes (algorithm, image) tasks across processes; the
-    output is identical for every jobs value.
+    ``jobs`` > 1 distributes (algorithm, image) tasks across at most that many
+    processes; the output is identical for every jobs value.
     """
+    if _check_int(jobs, "jobs") < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     tasks = [(spec, ai, ii) for ai in range(len(spec.algorithms)) for ii in range(len(spec.corpus))]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))  # a pool starts all its workers up front
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_task_star, tasks))
     else:
         chunks = [_run_task_star(t) for t in tasks]

@@ -86,6 +86,9 @@ def test_gen_noise_deterministic():
 def test_gen_noise_rejects_bad_dims():
     with pytest.raises(ValueError):
         gen_noise(0, 4, NoisePower(0.5), 1)
+    for width, height in ((8.0, 8), (8, 8.0)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            gen_noise(width, height, NoisePower(0.5), 1)
 
 
 def test_noise_power_range():

@@ -1,8 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from inkchannel import BinaryImage, read_binary, write_binary, write_gray
-from inkchannel.cli import main
+from inkchannel import BinaryImage, HistogramSpec, channel, read_binary, write_binary, write_gray
+from inkchannel.cli import main, parse_sweep_config
 
 from conftest import constant_gray
 
@@ -114,6 +116,19 @@ def test_noise_writes_field(capsys, tmp_path):
     field = read_binary(out)
     assert (field.width, field.height) == (32, 16)
     assert field.bits.sum() == 0
+
+
+def test_out_of_memory_exits_3(capsys, tmp_path, monkeypatch):
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 838. MiB for an array")
+
+    monkeypatch.setattr(channel, "gen_noise", no_memory)
+    code, _, stderr = run(
+        capsys, "noise", "--width", "30000", "--height", "30000", "--power", "0.1", "--seed", "1",
+        "--output", str(tmp_path / "v.pbm"),
+    )
+    assert code == 3
+    assert "error: Unable to allocate" in stderr and "Traceback" not in stderr
 
 
 def test_transmit_zero_power_is_identity(capsys, tmp_path):
@@ -339,6 +354,14 @@ def test_sweep_failing_cell_exits_3(capsys, tmp_path, corpus_dir):
     assert "tiny.pgm" in stderr and "rep=0" in stderr and "Traceback" not in stderr
 
 
+def test_sweep_jobs_below_one_exit_2(capsys, tmp_path, corpus_dir):
+    cfg = tmp_path / "sweep.cfg"
+    write_config(cfg, corpus_dir, algorithms="fs")
+    code, _, stderr = run(capsys, "sweep", "--spec", str(cfg), "--out", str(tmp_path / "r.csv"), "--jobs", "0")
+    assert code == 2
+    assert "jobs must be >= 1" in stderr and "Traceback" not in stderr
+
+
 def test_sweep_zero_noise_rows_present(capsys, tmp_path, corpus_dir):
     cfg = tmp_path / "sweep.cfg"
     write_config(cfg, corpus_dir, algorithms="fs")
@@ -391,3 +414,72 @@ def test_unknown_flag_exit_2(capsys, tmp_path):
 
 def test_unknown_verb_exit_2(capsys):
     assert run(capsys, "telepathy")[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# sweep config errors
+# ---------------------------------------------------------------------------
+
+# One line per key, in this order: algorithms is line 1, corpus is line 6.
+SWEEP_LINES = {
+    "algorithms": "fs, blockd:h=3",
+    "kind": "bitflip",
+    "t_grid": "0, 0.2",
+    "reps": "2",
+    "seed": "7",
+    "corpus": None,
+}
+
+REQUIRED = ("algorithms", "kind", "t_grid", "reps", "seed", "corpus")
+
+
+@pytest.mark.parametrize(
+    "values, drop, extra, fragment, line",
+    [
+        pytest.param({}, None, "what is this\n", "expected 'key = value'", 7, id="no-equals"),
+        pytest.param({}, None, "colour = red\n", "unknown key 'colour'", 7, id="unknown-key"),
+        pytest.param({}, None, "reps = 3\n", "duplicate key 'reps'", 7, id="duplicate-key"),
+        pytest.param({}, None, "hist =\n", "empty value for 'hist'", 7, id="empty-value"),
+        *(
+            pytest.param({}, key, "", f"missing required key {key!r}", None, id=f"missing-{key}")
+            for key in REQUIRED
+        ),
+        pytest.param({"reps": "two"}, None, "", "bad integer 'two'", 4, id="bad-reps"),
+        pytest.param({"seed": "x7"}, None, "", "bad integer 'x7'", 5, id="bad-seed"),
+        pytest.param({"kind": "block-erase"}, None, "block = x\n", "'x'", 7, id="bad-block"),
+        pytest.param({"t_grid": "0, abc"}, None, "", "expected comma-separated numbers", 3, id="t-grid-bad-number"),
+        pytest.param({"t_grid": ","}, None, "", "empty list", 3, id="t-grid-empty"),
+        pytest.param({"t_grid": "0, 1.5"}, None, "", "noise power must lie in [0, 1]", None, id="t-grid-range"),
+        pytest.param({}, None, "hist = block:8\n", "bad block spec", 7, id="bad-hist"),
+        pytest.param({}, None, "smoothing = additive:-1\n", "must be > 0", 7, id="bad-smoothing"),
+        pytest.param({"corpus": "{empty}"}, None, "", "contains no .pgm files", 6, id="corpus-no-pgm"),
+        pytest.param({"algorithms": "fs, dither"}, None, "", "dither", 1, id="unknown-algorithm"),
+    ],
+)
+def test_sweep_config_errors(capsys, tmp_path, corpus_dir, values, drop, extra, fragment, line):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    lines = {**SWEEP_LINES, "corpus": str(corpus_dir), **values}
+    cfg = tmp_path / "sweep.cfg"
+    text = "".join(f"{k} = {v}\n" for k, v in lines.items() if k != drop) + extra
+    cfg.write_text(text.replace("{empty}", str(empty)))
+    code, _, stderr = run(capsys, "sweep", "--spec", str(cfg), "--out", str(tmp_path / "r.csv"))
+    assert code == 2
+    assert "Traceback" not in stderr
+    assert fragment in stderr
+    assert (f"{cfg}:{line}: " if line else f"{cfg}: ") in stderr
+
+
+def test_sweep_example_config_parses(tmp_path, monkeypatch):
+    example = Path(__file__).resolve().parent.parent / "sweep.example.cfg"
+    (tmp_path / "corpus").mkdir()
+    write_gray(constant_gray(128, 8, 8), tmp_path / "corpus" / "a.pgm")
+    monkeypatch.chdir(tmp_path)
+    spec = parse_sweep_config(example)
+    assert [(a.algorithm, a.h) for a in spec.algorithms] == [("fs", None), ("blockd", 11), ("blockd", 19)]
+    assert spec.channel_kind == "bitflip" and spec.block is None
+    assert spec.t_grid == (0.0, 0.1, 0.2, 0.3)
+    assert spec.reps == 8
+    assert spec.histogram == HistogramSpec(mode="binary", smoothing=1e-9)
+    assert spec.master_seed == 42
+    assert spec.corpus == (str(Path("corpus") / "a.pgm"),)

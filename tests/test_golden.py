@@ -13,10 +13,13 @@ from inkchannel import (
     BlockSpec,
     HalftoneSpec,
     HistogramSpec,
+    NoisePower,
     SweepSpec,
+    block_lightness_histogram,
     corpus_average,
     halftone,
     run_sweep,
+    transmit_block_erase,
     write_aggregates_csv,
     write_binary,
     write_gray,
@@ -85,6 +88,20 @@ SWEEP_DIGESTS = {
     ),
 }
 
+# The FS halftone of natural_gray(131, 97) leaves ragged edge tiles for every
+# block size below: some edge tiles hold their centre pixel, some do not.
+RAGGED_ERASE_DIGESTS = {  # block size -> sha256 of the block-erased bits, t = 0.3, seed 5
+    3: "6aafe235519a3502dceaeb7a5613b9fefa17aaf86699f9b99ec82eedb1006c39",
+    5: "95e347f83d7774ab0d2e1dec2681345e182ef968dca6ba30297e910951a56790",
+    9: "a66be7a6bca855c7968a3baf1cffee424a4c64b26ac551f07ff8dfa281512551",
+}
+
+RAGGED_HISTOGRAM_DIGESTS = {  # block size -> sha256 of the 16-bin block histogram
+    7: "62ec6fa2d2baed94ab619edc014c975248c978161fa0695bf2d98c3bb0df7991",
+    8: "a40c57498967976b352b6acc9d6e792d2782e20a9a867d7b1785e22b0c7733d8",
+    16: "eb4e4bb3acbdb74cfae8d51132e3f37062b2f2556051ec6af1e88e86f3f04e57",
+}
+
 HISTOGRAMS = {
     "binary": HistogramSpec(mode="binary", smoothing=1e-9),
     "block:8x16": HistogramSpec(mode="block", block=8, bins=16, smoothing=1e-9),
@@ -113,6 +130,23 @@ def test_halftone_bytes(tmp_path, scene, algo, magic):
     path = tmp_path / "g.pbm"
     write_binary(halftone(scene, spec), path, ascii_format=magic == "P1")
     assert sha256(path) == HALFTONE_DIGESTS[algo, magic]
+
+
+@pytest.fixture(scope="module")
+def ragged():
+    return halftone(natural_gray(131, 97), HalftoneSpec("fs"))
+
+
+@pytest.mark.parametrize("size", sorted(RAGGED_ERASE_DIGESTS))
+def test_block_erase_ragged_edges(ragged, size):
+    out = transmit_block_erase(ragged, NoisePower(0.3), BlockSpec(size), 5)
+    assert hashlib.sha256(out.bits.tobytes()).hexdigest() == RAGGED_ERASE_DIGESTS[size]
+
+
+@pytest.mark.parametrize("block", sorted(RAGGED_HISTOGRAM_DIGESTS))
+def test_block_histogram_ragged_edges(ragged, block):
+    bins = block_lightness_histogram(ragged, block, 16).bins
+    assert hashlib.sha256(bins.tobytes()).hexdigest() == RAGGED_HISTOGRAM_DIGESTS[block]
 
 
 @pytest.mark.parametrize("kind, hist", sorted(SWEEP_DIGESTS))

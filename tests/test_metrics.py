@@ -262,6 +262,10 @@ def test_noise_entropy_curve_deterministic():
 def test_noise_entropy_curve_rejects_bad_reps():
     with pytest.raises(ValueError):
         noise_entropy_curve(8, 8, [0.5], reps=0, seed=1)
+    with pytest.raises(ValueError, match="reps must be an integer"):
+        noise_entropy_curve(8, 8, [0.5], 2.0, 1)
+    with pytest.raises(ValueError, match="width must be an integer"):
+        noise_entropy_curve(8.0, 8, [0.5], 2, 1)
 
 
 # ---------------------------------------------------------------------------

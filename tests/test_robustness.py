@@ -20,6 +20,7 @@ from inkchannel import (
     write_gray,
     write_records_csv,
 )
+from inkchannel import robustness
 from inkchannel.robustness import write_aggregates_csv
 
 
@@ -84,6 +85,35 @@ def test_sweep_jobs_invariant(corpus_dir, tmp_path):
     write_records_csv(serial, a)
     write_records_csv(parallel, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_starts_no_idle_workers(corpus_dir, monkeypatch):
+    started = []
+
+    class RecordingPool:  # records max_workers and runs the tasks in-process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(robustness, "ProcessPoolExecutor", RecordingPool)
+    image = str(sorted(corpus_dir.glob("*.pgm"))[0])
+    one_task = small_spec(corpus_dir, algorithms=(HalftoneSpec("fs"),), corpus=(image,))
+    two_tasks = small_spec(corpus_dir, corpus=(image,))
+    assert run_sweep(one_task, jobs=4) == run_sweep(one_task)
+    assert started == []
+    assert run_sweep(two_tasks, jobs=4) == run_sweep(two_tasks)
+    assert started == [2]
+    for jobs in (0, -1, 2.0):
+        with pytest.raises(ValueError, match="jobs"):
+            run_sweep(one_task, jobs=jobs)
 
 
 def test_sweep_records_carry_densities(corpus_dir):
