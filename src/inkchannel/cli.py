@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 from . import channel, imagery, metrics, robustness
@@ -31,15 +32,7 @@ def format_scalar(v: float) -> str:
         return "inf" if v > 0 else "-inf"
     if v == int(v) and abs(v) < 1e15:
         return str(int(v))
-    mant, exp_text = f"{v:.11e}".split("e")
-    sign = "-" if mant.startswith("-") else ""
-    digits = mant.replace(".", "").lstrip("-")
-    exp = int(exp_text)
-    if exp >= 0:
-        if exp + 1 >= len(digits):
-            return sign + digits + "0" * (exp + 1 - len(digits))
-        return f"{sign}{digits[: exp + 1]}.{digits[exp + 1 :]}"
-    return sign + "0." + "0" * (-exp - 1) + digits
+    return f"{Decimal(f'{v:.11e}'):f}"
 
 
 # ---------------------------------------------------------------------------
@@ -79,32 +72,34 @@ def _parse_smoothing(text: str) -> float | None:
             lam = float(text[len("additive:"):])
         except ValueError:
             raise ValueError(f"--smoothing: bad constant in {text!r}") from None
-        if not lam > 0:
-            raise ValueError(f"--smoothing: additive constant must be > 0, got {lam}")
+        if not 0 < lam < math.inf:
+            raise ValueError(f"--smoothing: additive constant must be > 0 and finite, got {lam}")
         return lam
     raise ValueError(f"--smoothing: expected 'none' or 'additive:<lambda>', got {text!r}")
 
 
+# algorithm token parameter -> (HalftoneSpec field, value parser)
+_ALGORITHM_PARAMS = {"h": ("h", int), "level": ("level", float), "seed": ("seed", int), "order": ("matrix_order", int)}
+
+
 def _parse_algorithm_token(token: str) -> HalftoneSpec:
-    parts = token.strip().split(":")
-    name = parts[0].strip()
+    name, *params = token.strip().split(":")
     kwargs: dict = {}
-    for part in parts[1:]:
-        if "=" not in part:
-            raise ValueError(f"algorithm {token!r}: parameter {part!r} is not key=value")
-        key, _, value = part.partition("=")
-        key = key.strip()
-        value = value.strip()
-        fields = {"h": ("h", int), "level": ("level", float), "seed": ("seed", int), "order": ("matrix_order", int)}
-        if key not in fields:
-            raise ValueError(f"algorithm {token!r}: unknown parameter {key!r}")
-        field, convert = fields[key]
-        try:
-            kwargs[field] = convert(value)
-        except ValueError:
-            raise ValueError(f"algorithm {token!r}: bad value for {key!r}") from None
     try:
-        return HalftoneSpec(algorithm=name, **kwargs)
+        for part in params:
+            key, eq, value = (s.strip() for s in part.partition("="))
+            if not eq:
+                raise ValueError(f"parameter {part!r} is not key=value")
+            if key not in _ALGORITHM_PARAMS:
+                raise ValueError(f"unknown parameter {key!r}")
+            field, convert = _ALGORITHM_PARAMS[key]
+            if field in kwargs:
+                raise ValueError(f"repeated parameter {key!r}")
+            try:
+                kwargs[field] = convert(value)
+            except ValueError:
+                raise ValueError(f"bad value for {key!r}") from None
+        return HalftoneSpec(algorithm=name.strip(), **kwargs)
     except ValueError as exc:
         raise ValueError(f"algorithm {token!r}: {exc}") from None
 

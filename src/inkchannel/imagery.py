@@ -125,52 +125,8 @@ class Histogram:
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 _KINDS = {b"P1": "PBM", b"P4": "PBM", b"P2": "PGM", b"P5": "PGM"}
 _COMMENT = re.compile(rb"#[^\n]*")
-
-
-class _Cursor:
-    """Byte cursor over a netpbm header; skips whitespace and '#' comments."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 2  # past the magic number
-
-    def _skip_separators(self):
-        data, n = self.data, len(self.data)
-        while self.pos < n:
-            b = data[self.pos]
-            if b == 0x23:  # '#'
-                eol = data.find(b"\n", self.pos)
-                self.pos = n if eol < 0 else eol + 1
-            elif b in _WHITESPACE:
-                self.pos += 1
-            else:
-                return
-
-    def token(self) -> bytes:
-        self._skip_separators()
-        start = self.pos
-        data, n = self.data, len(self.data)
-        while self.pos < n and data[self.pos] not in _WHITESPACE and data[self.pos] != 0x23:
-            self.pos += 1
-        if self.pos == start:
-            raise NetpbmError("malformed header: unexpected end of file")
-        return data[start : self.pos]
-
-    def int_token(self, what: str) -> int:
-        tok = self.token()
-        try:
-            return int(tok)
-        except ValueError:
-            raise NetpbmError(f"malformed {what} {tok!r}") from None
-
-    def raster(self, need: int) -> bytes:
-        # binary raster begins after exactly one whitespace byte
-        if self.pos >= len(self.data) or self.data[self.pos] not in _WHITESPACE:
-            raise NetpbmError("malformed header: missing separator before raster")
-        raw = self.data[self.pos + 1 : self.pos + 1 + need]
-        if len(raw) < need:
-            raise NetpbmError(f"truncated payload: expected {need} bytes, got {len(raw)}")
-        return raw
+# one header token after its separators: whitespace, or '#' to the end of the line
+_TOKEN = re.compile(rb"(?:\s|#[^\n]*\n?)*([^\s#]*)")
 
 
 def _sample(tok: bytes) -> int:
@@ -214,22 +170,35 @@ def _read_netpbm(path, accept: str):
     if kind is None or kind not in accept:
         raise NetpbmError(f"malformed header: not a {accept} file (magic {magic!r})")
     gray = kind == "PGM"
-    cur = _Cursor(data)
-    width = cur.int_token("header width")
-    height = cur.int_token("header height")
-    maxval = cur.int_token("header maxval") if gray else 255
+    pos, values = 2, []
+    for what in ("width", "height", "maxval")[: 3 if gray else 2]:
+        match = _TOKEN.match(data, pos)
+        tok, pos = match[1], match.end()
+        if not tok:
+            raise NetpbmError("malformed header: unexpected end of file")
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise NetpbmError(f"malformed header {what} {tok!r}") from None
+    width, height, maxval = values if gray else (*values, 255)
     if width < 1 or height < 1:
         raise NetpbmError(f"malformed header: bad dimensions {width}x{height}")
     if maxval != 255:
         raise NetpbmError(f"unsupported maxval {maxval} (only 255)")
-    if magic == b"P5":
-        arr = np.frombuffer(cur.raster(width * height), dtype=np.uint8).reshape(height, width)
-    elif magic == b"P4":
-        row_bytes = (width + 7) // 8
-        packed = np.frombuffer(cur.raster(row_bytes * height), dtype=np.uint8).reshape(height, row_bytes)
-        arr = np.unpackbits(packed, axis=1)[:, :width]
+    if magic in (b"P4", b"P5"):
+        # a binary raster begins after exactly one whitespace byte
+        if pos >= len(data) or data[pos] not in _WHITESPACE:
+            raise NetpbmError("malformed header: missing separator before raster")
+        row_bytes = width if gray else (width + 7) // 8
+        need = row_bytes * height
+        raw = data[pos + 1 : pos + 1 + need]
+        if len(raw) < need:
+            raise NetpbmError(f"truncated payload: expected {need} bytes, got {len(raw)}")
+        arr = np.frombuffer(raw, dtype=np.uint8).reshape(height, row_bytes)
+        if not gray:
+            arr = np.unpackbits(arr, axis=1)[:, :width]
     else:
-        arr = _ascii_payload(data[cur.pos :], gray, width * height).reshape(height, width)
+        arr = _ascii_payload(data[pos:], gray, width * height).reshape(height, width)
     return GrayImage(arr) if gray else BinaryImage(arr)
 
 

@@ -34,7 +34,7 @@ HISTOGRAM_MODES = ("binary", "block")
 class HistogramSpec:
     """How image histograms are built for divergence measurements.
 
-    ``smoothing`` is None for no smoothing or a positive additive constant
+    ``smoothing`` is None for no smoothing or a finite positive additive constant
     applied to every bin before renormalization.
     """
 
@@ -53,8 +53,8 @@ class HistogramSpec:
                 raise ValueError(f"block size must be >= 1, got {self.block}")
             if _check_int(self.bins, "bin count") < 2:
                 raise ValueError(f"bin count must be >= 2, got {self.bins}")
-        if self.smoothing is not None and not self.smoothing > 0:
-            raise ValueError(f"additive smoothing constant must be > 0, got {self.smoothing}")
+        if self.smoothing is not None and not 0 < self.smoothing < math.inf:
+            raise ValueError(f"additive smoothing constant must be > 0 and finite, got {self.smoothing}")
 
 
 def build_histogram(img: BinaryImage, spec: HistogramSpec) -> Histogram:
@@ -96,8 +96,8 @@ def relative_entropy(p: Histogram, q: Histogram, smoothing: float | None = None)
     if p.bin_count != q.bin_count:
         raise ValueError(f"bin-count mismatch: {p.bin_count} vs {q.bin_count}")
     if smoothing is not None:
-        if not smoothing > 0:
-            raise ValueError(f"additive smoothing constant must be > 0, got {smoothing}")
+        if not 0 < smoothing < math.inf:
+            raise ValueError(f"additive smoothing constant must be > 0 and finite, got {smoothing}")
         pa, qb = _smooth(p.bins, smoothing), _smooth(q.bins, smoothing)
     else:
         pa, qb = p.bins, q.bins

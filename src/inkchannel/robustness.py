@@ -254,11 +254,20 @@ def corpus_average(records) -> list[AggregateRow]:
     return rows
 
 
-def _single_family(records, side: str) -> tuple[str, int | None]:
+def _single_kind(records, side: str) -> str:
+    kinds = {r.noise_kind for r in records}
+    if len(kinds) != 1:
+        raise ValueError(f"{side} records mix noise kinds {sorted(kinds)}")
+    return kinds.pop()
+
+
+def _single_family(records, side: str) -> tuple[str, str, int | None]:
+    """(algo, noise_kind, h) shared by every record of one side."""
     labels = {(r.algo, r.h) for r in records}
     if len(labels) != 1:
         raise ValueError(f"{side} records must cover exactly one algorithm, got {sorted(labels)}")
-    return labels.pop()
+    [(algo, h)] = labels
+    return algo, _single_kind(records, side), h
 
 
 def compare(records_k, records_t, tie_tolerance: float = DEFAULT_TIE_TOLERANCE) -> list[ComparisonVerdict]:
@@ -270,7 +279,8 @@ def compare(records_k, records_t, tie_tolerance: float = DEFAULT_TIE_TOLERANCE) 
     records_k, records_t = list(records_k), list(records_t)
     if not records_k or not records_t:
         raise ValueError("both record lists must be non-empty")
-    (algo_k, h_k), (algo_t, h_t) = _single_family(records_k, "first"), _single_family(records_t, "second")
+    algo_k, kind_k, h_k = _single_family(records_k, "first")
+    algo_t, kind_t, h_t = _single_family(records_t, "second")
     grid_k = {(r.image, r.t) for r in records_k}
     grid_t = {(r.image, r.t) for r in records_t}
     if grid_k != grid_t:
@@ -278,8 +288,8 @@ def compare(records_k, records_t, tie_tolerance: float = DEFAULT_TIE_TOLERANCE) 
     stats_k, stats_t = _group_stats(records_k), _group_stats(records_t)
     verdicts = []
     for t in sorted({r.t for r in records_k}):
-        mean_k = stats_k[(records_k[0].algo, records_k[0].noise_kind, t, h_k)][0]
-        mean_t = stats_t[(records_t[0].algo, records_t[0].noise_kind, t, h_t)][0]
+        mean_k = stats_k[(algo_k, kind_k, t, h_k)][0]
+        mean_t = stats_t[(algo_t, kind_t, t, h_t)][0]
         if math.isinf(mean_k) and math.isinf(mean_t):
             diff, verdict = 0.0, "TIE"
         else:
@@ -306,9 +316,10 @@ def difference_surface(records_first, records_blockd):
     records_first, records_blockd = list(records_first), list(records_blockd)
     if not records_first or not records_blockd:
         raise ValueError("both record lists must be non-empty")
-    _single_family(records_first, "first")
+    algo1, kind1, h1 = _single_family(records_first, "first")
     if {r.algo for r in records_blockd} != {"blockd"}:
         raise ValueError("second record list must be blockd with h swept")
+    kind_blockd = _single_kind(records_blockd, "second")
     t_first = sorted({r.t for r in records_first})
     t_blockd = sorted({r.t for r in records_blockd})
     if t_first != t_blockd:
@@ -316,13 +327,11 @@ def difference_surface(records_first, records_blockd):
     h_values = sorted({r.h for r in records_blockd})
     stats_first = _group_stats(records_first)
     stats_blockd = _group_stats(records_blockd)
-    kind = records_first[0].noise_kind
-    algo1, h1 = records_first[0].algo, records_first[0].h
     surface = np.empty((len(t_first), len(h_values)), dtype=np.float64)
     for i, t in enumerate(t_first):
-        m1 = stats_first[(algo1, kind, t, h1)][0]
+        m1 = stats_first[(algo1, kind1, t, h1)][0]
         for j, h in enumerate(h_values):
-            key = ("blockd", records_blockd[0].noise_kind, t, h)
+            key = ("blockd", kind_blockd, t, h)
             if key not in stats_blockd:
                 raise ValueError(f"missing blockd cell t={t}, h={h}")
             surface[i, j] = m1 - stats_blockd[key][0]
@@ -334,11 +343,7 @@ def difference_surface(records_first, records_blockd):
 # ---------------------------------------------------------------------------
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return "inf" if math.isinf(x) else repr(x)
-    return str(x)
+    return "" if x is None else str(x)
 
 
 def _write_csv(rows, fields, path) -> None:

@@ -1,10 +1,11 @@
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from inkchannel import BinaryImage, HistogramSpec, channel, read_binary, write_binary, write_gray
-from inkchannel.cli import main, parse_sweep_config
+from inkchannel.cli import _parse_algorithm_token, format_scalar, main, parse_sweep_config
 
 from conftest import constant_gray
 
@@ -212,6 +213,27 @@ def test_metric_euclid_opposite(capsys, tmp_path):
     assert stdout.strip() == "1"
 
 
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (0.0, "0"),
+        (-0.0, "0"),
+        (-7.0, "-7"),
+        (0.5, "0.500000000000"),
+        (1 / 3, "0.333333333333"),
+        (1e-9, "0.00000000100000000000"),
+        (-2.5e-7, "-0.000000250000000000"),
+        (123456789012.5, "123456789012"),
+        (1e15, "1000000000000000"),
+        (1.2345e20, "123450000000000000000"),
+        (float("inf"), "inf"),
+        (float("-inf"), "-inf"),
+    ],
+)
+def test_format_scalar(value, text):
+    assert format_scalar(value) == text
+
+
 def test_metric_kl_twelve_significant_digits(capsys, tmp_path):
     a, b = tmp_path / "a.pbm", tmp_path / "b.pbm"
     write_binary(BinaryImage(np.array([[1, 0], [0, 1]], dtype=np.uint8)), a)   # density 0.5
@@ -233,6 +255,16 @@ def test_metric_kl_inf(capsys, tmp_path):
     )
     assert code == 0
     assert stdout.strip() != "inf"
+
+
+def test_metric_kl_rejects_infinite_smoothing(capsys, tmp_path):
+    path = tmp_path / "a.pbm"
+    write_binary(BinaryImage(np.eye(4, dtype=np.uint8)), path)
+    code, stdout, stderr = run(
+        capsys, "metric", "--name", "kl", "--a", str(path), "--b", str(path), "--smoothing", "additive:inf"
+    )
+    assert code == 2 and stdout == ""
+    assert "additive constant must be > 0 and finite, got inf" in stderr
 
 
 def test_metric_euclid_dimension_mismatch_exit_2(capsys, tmp_path):
@@ -389,6 +421,21 @@ def test_compare_command(capsys, tmp_path, corpus_dir):
     assert code == 2 and f"{out}:2:" in stderr and "Traceback" not in stderr
 
 
+def test_compare_rejects_records_of_two_noise_kinds(capsys, tmp_path, corpus_dir):
+    csvs = []
+    for kind in ("bitflip", "erase"):
+        cfg, out = tmp_path / f"{kind}.cfg", tmp_path / f"{kind}.csv"
+        write_config(cfg, corpus_dir)
+        cfg.write_text(cfg.read_text().replace("kind = bitflip", f"kind = {kind}"))
+        assert run(capsys, "sweep", "--spec", str(cfg), "--out", str(out))[0] == 0
+        csvs.append(out.read_text().splitlines())
+    both = tmp_path / "both.csv"
+    both.write_text("\n".join(csvs[0] + csvs[1][1:]) + "\n")  # one header row
+    code, stdout, stderr = run(capsys, "compare", "--records", str(both), "--a", "fs", "--b", "blockd")
+    assert code == 2 and stdout == ""
+    assert "first records mix noise kinds ['bitflip', 'erase']" in stderr and "Traceback" not in stderr
+
+
 # ---------------------------------------------------------------------------
 # screens and exit codes
 # ---------------------------------------------------------------------------
@@ -452,8 +499,13 @@ REQUIRED = ("algorithms", "kind", "t_grid", "reps", "seed", "corpus")
         pytest.param({"t_grid": "0, 1.5"}, None, "", "noise power must lie in [0, 1]", None, id="t-grid-range"),
         pytest.param({}, None, "hist = block:8\n", "bad block spec", 7, id="bad-hist"),
         pytest.param({}, None, "smoothing = additive:-1\n", "must be > 0", 7, id="bad-smoothing"),
+        pytest.param({}, None, "smoothing = additive:inf\n", "must be > 0 and finite, got inf", 7, id="inf-smoothing"),
         pytest.param({"corpus": "{empty}"}, None, "", "contains no .pgm files", 6, id="corpus-no-pgm"),
         pytest.param({"algorithms": "fs, dither"}, None, "", "dither", 1, id="unknown-algorithm"),
+        pytest.param(
+            {"algorithms": "blockd:h=11:h=19, fs"}, None, "", "algorithm 'blockd:h=11:h=19': repeated parameter 'h'", 1,
+            id="repeated-parameter",
+        ),
     ],
 )
 def test_sweep_config_errors(capsys, tmp_path, corpus_dir, values, drop, extra, fragment, line):
@@ -468,6 +520,12 @@ def test_sweep_config_errors(capsys, tmp_path, corpus_dir, values, drop, extra, 
     assert "Traceback" not in stderr
     assert fragment in stderr
     assert (f"{cfg}:{line}: " if line else f"{cfg}: ") in stderr
+
+
+def test_algorithm_token_rejects_repeated_parameter():
+    message = "algorithm 'threshold:level=0.2:level=0.9': repeated parameter 'level'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _parse_algorithm_token("threshold:level=0.2:level=0.9")
 
 
 def test_sweep_example_config_parses(tmp_path, monkeypatch):

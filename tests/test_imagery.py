@@ -270,6 +270,11 @@ NETPBM_CASES = [
     (b"P2 0 1 255", "bad dimensions 0x1"),
     (b"P2 1 1", "malformed header: unexpected end of file"),
     (b"P5 1 1 255", "missing separator before raster"),
+    (b"P2#a\n#b\n1#c\n1 255\n7", [[7]]),
+    (b"P2 1 1#c", "malformed header: unexpected end of file"),
+    (b"P5 1 1 255#c\n\x07", "missing separator before raster"),
+    (b"P2 x 1 255 0", "malformed header width b'x'"),
+    (b"P2 1 1 25x 0", "malformed header maxval b'25x'"),
 ]
 
 

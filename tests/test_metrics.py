@@ -150,6 +150,8 @@ def test_kl_smoothing_converges_to_unsmoothed():
 def test_kl_rejects_bad_smoothing():
     with pytest.raises(ValueError):
         relative_entropy(hist(0.5, 0.5), hist(0.5, 0.5), smoothing=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        relative_entropy(hist(0.5, 0.5), hist(0.5, 0.5), smoothing=math.inf)
 
 
 @settings(max_examples=300, deadline=None)
@@ -208,6 +210,8 @@ def test_histogram_spec_validation():
         HistogramSpec(mode="block", block=0, bins=4)
     with pytest.raises(ValueError):
         HistogramSpec(smoothing=-1.0)
+    with pytest.raises(ValueError, match="finite"):
+        HistogramSpec(smoothing=math.inf)
     with pytest.raises(ValueError, match="integer"):
         HistogramSpec(mode="block", block=4.0, bins=8)
     with pytest.raises(ValueError, match="integer"):

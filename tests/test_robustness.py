@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -275,6 +276,17 @@ def test_compare_means_match_corpus_average():
     assert verdicts[0].mean_t == agg[("dotdif", 0.1)]
 
 
+def test_compare_rejects_mixed_noise_kinds():
+    # fs under bitflip (q 0.1) and erase (q 5.0) against dotdif at 0.2 under both
+    k = [rec(algo="fs", q=0.1), rec(algo="fs", q=5.0, noise_kind="erase")]
+    t_side = [rec(algo="dotdif", q=0.2, noise_kind=kind) for kind in ("bitflip", "erase")]
+    with pytest.raises(ValueError, match=re.escape("first records mix noise kinds ['bitflip', 'erase']")):
+        compare(k, t_side)
+    with pytest.raises(ValueError, match="second records mix noise kinds"):
+        compare(k[:1], t_side)
+    assert compare(k[1:], t_side[1:])[0].verdict == "T_MORE_ROBUST"
+
+
 # ---------------------------------------------------------------------------
 # difference surface
 # ---------------------------------------------------------------------------
@@ -312,6 +324,15 @@ def test_surface_requires_blockd_second():
     first = [rec(algo="fs", t=0.1)]
     with pytest.raises(ValueError, match="blockd"):
         difference_surface(first, first)
+
+
+def test_surface_rejects_mixed_noise_kinds():
+    first = [rec(algo="fs", q=0.1)]
+    second = [rec(algo="blockd", h=5, q=q, noise_kind=kind) for q, kind in ((0.2, "bitflip"), (5.0, "erase"))]
+    with pytest.raises(ValueError, match="second records mix noise kinds"):
+        difference_surface(first, second)
+    with pytest.raises(ValueError, match="first records mix noise kinds"):
+        difference_surface(first + [rec(algo="fs", noise_kind="erase")], second[:1])
 
 
 def test_surface_rejects_incomplete_grid():
