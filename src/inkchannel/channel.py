@@ -35,7 +35,8 @@ __all__ = [
 ]
 
 CHANNEL_KINDS = ("bitflip", "erase", "block-erase")
-GATE_OPS = ("not", "set1")
+_GATES = {"not": np.bitwise_xor, "set1": np.bitwise_or}  # gate op -> its ufunc on (target, control)
+GATE_OPS = tuple(_GATES)
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -137,18 +138,14 @@ def apply_gate(control: BinaryImage, target: BinaryImage, op: str) -> BinaryImag
     op 'not' flips the bit; op 'set1' forces it to 1 (erase).  The control
     image is never modified.
     """
-    if op not in GATE_OPS:
+    if op not in _GATES:
         raise ValueError(f"unknown gate op {op!r} (expected one of {GATE_OPS})")
     if control.bits.shape != target.bits.shape:
         raise ValueError(
             f"control {control.width}x{control.height} and target "
             f"{target.width}x{target.height} dimensions differ"
         )
-    if op == "not":
-        out = target.bits ^ control.bits
-    else:
-        out = target.bits | control.bits
-    return BinaryImage(out)
+    return BinaryImage(_GATES[op](target.bits, control.bits))
 
 
 def transmit_bitflip(g: BinaryImage, power: NoisePower, seed: int) -> BinaryImage:

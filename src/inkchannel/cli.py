@@ -72,9 +72,10 @@ def _parse_smoothing(text: str) -> float | None:
             lam = float(text[len("additive:"):])
         except ValueError:
             raise ValueError(f"--smoothing: bad constant in {text!r}") from None
-        if not 0 < lam < math.inf:
-            raise ValueError(f"--smoothing: additive constant must be > 0 and finite, got {lam}")
-        return lam
+        try:
+            return metrics.HistogramSpec(smoothing=lam).smoothing
+        except ValueError as exc:
+            raise ValueError(f"--smoothing: {exc}") from None
     raise ValueError(f"--smoothing: expected 'none' or 'additive:<lambda>', got {text!r}")
 
 
@@ -221,15 +222,12 @@ def _noise_power(value: float) -> channel.NoisePower:
 
 
 def cmd_transmit(args) -> int:
-    if (args.block is not None) != (args.kind == "block-erase"):
-        raise ValueError("--block is required for --kind block-erase and forbidden otherwise")
+    try:
+        block = None if args.block is None else channel.BlockSpec(args.block)
+        channel._check_kind(args.kind, block)
+    except ValueError as exc:
+        raise ValueError(f"--block: {exc}") from None
     power = _noise_power(args.power)
-    block = None
-    if args.block is not None:
-        try:
-            block = channel.BlockSpec(args.block)
-        except ValueError as exc:
-            raise ValueError(f"--block: {exc}") from None
     cfg = channel.ChannelConfig(kind=args.kind, power=power, seed=args.seed, block=block)
     g = _load_binary(args.input, "--input")
     gp = channel.transmit(g, cfg)

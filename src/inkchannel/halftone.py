@@ -85,8 +85,7 @@ _DD_NEIGHBORS = (
 
 def bayer_matrix(order: int) -> np.ndarray:
     """Classical recursive Bayer index matrix; base case [[0, 2], [3, 1]]."""
-    if order not in (2, 4, 8):
-        raise ValueError(f"bayer order must be 2, 4, or 8, got {order}")
+    HalftoneSpec("bayer", matrix_order=order)
     m = _BAYER_BASE
     while m.shape[0] < order:
         m = np.block([[4 * m, 4 * m + 2], [4 * m + 3, 4 * m + 1]])
@@ -94,9 +93,8 @@ def bayer_matrix(order: int) -> np.ndarray:
 
 
 def clustered_dot_matrix(order: int) -> np.ndarray:
-    if order not in (4, 8):
-        raise ValueError(f"clustered-dot order must be 4 or 8, got {order}")
-    return (_CDOT_4 if order == 4 else _CDOT_8).copy()
+    HalftoneSpec("cdot", matrix_order=order)
+    return {4: _CDOT_4, 8: _CDOT_8}[order].copy()
 
 
 def dot_diffusion_classes() -> np.ndarray:
@@ -118,7 +116,8 @@ def screen_catalog() -> dict[str, np.ndarray]:
 @dataclass(frozen=True)
 class HalftoneSpec:
     """Algorithm name plus its parameters; irrelevant parameters are ignored
-    but still validated when present."""
+    but still validated when present.  The kernels check a raw parameter by
+    building the spec they would be dispatched from, so each rule lives here."""
 
     algorithm: str
     h: int | None = None            # blockd tile size
@@ -168,8 +167,7 @@ def halftone(img: GrayImage, spec: HalftoneSpec) -> BinaryImage:
 
 def halftone_threshold(img: GrayImage, level: float) -> BinaryImage:
     """Ink wherever lightness < level*256; level 1 is all ink, level 0 none."""
-    if not 0.0 <= level <= 1.0:
-        raise ValueError(f"threshold level must lie in [0, 1], got {level}")
+    HalftoneSpec("threshold", level=level)
     return BinaryImage(img.pixels < level * 256)
 
 
@@ -281,8 +279,7 @@ def halftone_block_d(img: GrayImage, h: int) -> BinaryImage:
 
     Edge tiles keep their true size.  h = 1 reduces to per-pixel rounding.
     """
-    if h < 1:
-        raise ValueError(f"block size h must be >= 1, got {h}")
+    HalftoneSpec("blockd", h=h)
     dark = _darkness(img)
     out = np.zeros(dark.shape, dtype=np.uint8)
     for y0 in range(0, img.height, h):

@@ -106,10 +106,10 @@ class Histogram:
         arr = np.asarray(self.bins, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("histogram must be a non-empty 1-d probability vector")
-        if (arr < 0).any():
+        if not (arr >= 0).all():  # written so that NaN fails too
             raise ValueError("histogram bins must be non-negative")
         total = float(arr.sum())
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"histogram must sum to 1 (got {total!r})")
         object.__setattr__(self, "bins", _freeze(arr.copy()))
 

@@ -54,7 +54,7 @@ class HistogramSpec:
             if _check_int(self.bins, "bin count") < 2:
                 raise ValueError(f"bin count must be >= 2, got {self.bins}")
         if self.smoothing is not None and not 0 < self.smoothing < math.inf:
-            raise ValueError(f"additive smoothing constant must be > 0 and finite, got {self.smoothing}")
+            raise ValueError(f"additive constant must be > 0 and finite, got {self.smoothing}")
 
 
 def build_histogram(img: BinaryImage, spec: HistogramSpec) -> Histogram:
@@ -96,8 +96,7 @@ def relative_entropy(p: Histogram, q: Histogram, smoothing: float | None = None)
     if p.bin_count != q.bin_count:
         raise ValueError(f"bin-count mismatch: {p.bin_count} vs {q.bin_count}")
     if smoothing is not None:
-        if not 0 < smoothing < math.inf:
-            raise ValueError(f"additive smoothing constant must be > 0 and finite, got {smoothing}")
+        HistogramSpec(smoothing=smoothing)
         pa, qb = _smooth(p.bins, smoothing), _smooth(q.bins, smoothing)
     else:
         pa, qb = p.bins, q.bins

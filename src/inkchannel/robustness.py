@@ -113,6 +113,8 @@ class RobustnessRecord:
     f_out: float
 
     def __post_init__(self):
+        NoisePower(self.t)
+        _check_seed(self.seed)
         if not 0.0 <= self.q_bits <= math.inf:
             raise ValueError(f"divergence must lie in [0, inf], got {self.q_bits}")
         for name in ("e_dist", "f_in", "f_out"):
@@ -261,13 +263,24 @@ def _single_kind(records, side: str) -> str:
     return kinds.pop()
 
 
-def _single_family(records, side: str) -> tuple[str, str, int | None]:
-    """(algo, noise_kind, h) shared by every record of one side."""
+def _two_sides(records_a, records_b) -> tuple[list, list, str]:
+    """Both sides as lists, each non-empty and of one noise kind, the same on both sides."""
+    records_a, records_b = list(records_a), list(records_b)
+    if not records_a or not records_b:
+        raise ValueError("both record lists must be non-empty")
+    kind_a, kind_b = _single_kind(records_a, "first"), _single_kind(records_b, "second")
+    if kind_a != kind_b:
+        raise ValueError(f"the two sides were recorded under different noise kinds: {kind_a!r} vs {kind_b!r}")
+    return records_a, records_b, kind_a
+
+
+def _single_family(records, side: str) -> tuple[str, int | None]:
+    """(algo, h) shared by every record of one side."""
     labels = {(r.algo, r.h) for r in records}
     if len(labels) != 1:
-        raise ValueError(f"{side} records must cover exactly one algorithm, got {sorted(labels)}")
+        raise ValueError(f"{side} records must cover exactly one algorithm, got {sorted(labels, key=str)}")
     [(algo, h)] = labels
-    return algo, _single_kind(records, side), h
+    return algo, h
 
 
 def compare(records_k, records_t, tie_tolerance: float = DEFAULT_TIE_TOLERANCE) -> list[ComparisonVerdict]:
@@ -276,11 +289,9 @@ def compare(records_k, records_t, tie_tolerance: float = DEFAULT_TIE_TOLERANCE) 
     Means come from the same grouping as corpus_average.  |difference| within
     ``tie_tolerance`` is a TIE.
     """
-    records_k, records_t = list(records_k), list(records_t)
-    if not records_k or not records_t:
-        raise ValueError("both record lists must be non-empty")
-    algo_k, kind_k, h_k = _single_family(records_k, "first")
-    algo_t, kind_t, h_t = _single_family(records_t, "second")
+    records_k, records_t, kind = _two_sides(records_k, records_t)
+    algo_k, h_k = _single_family(records_k, "first")
+    algo_t, h_t = _single_family(records_t, "second")
     grid_k = {(r.image, r.t) for r in records_k}
     grid_t = {(r.image, r.t) for r in records_t}
     if grid_k != grid_t:
@@ -288,8 +299,8 @@ def compare(records_k, records_t, tie_tolerance: float = DEFAULT_TIE_TOLERANCE) 
     stats_k, stats_t = _group_stats(records_k), _group_stats(records_t)
     verdicts = []
     for t in sorted({r.t for r in records_k}):
-        mean_k = stats_k[(algo_k, kind_k, t, h_k)][0]
-        mean_t = stats_t[(algo_t, kind_t, t, h_t)][0]
+        mean_k = stats_k[(algo_k, kind, t, h_k)][0]
+        mean_t = stats_t[(algo_t, kind, t, h_t)][0]
         if math.isinf(mean_k) and math.isinf(mean_t):
             diff, verdict = 0.0, "TIE"
         else:
@@ -313,13 +324,10 @@ def difference_surface(records_first, records_blockd):
     mean q_first(t_i) - mean q_blockd(t_i, h_j).  Positive entries mark where
     the block algorithm is more robust.
     """
-    records_first, records_blockd = list(records_first), list(records_blockd)
-    if not records_first or not records_blockd:
-        raise ValueError("both record lists must be non-empty")
-    algo1, kind1, h1 = _single_family(records_first, "first")
+    records_first, records_blockd, kind = _two_sides(records_first, records_blockd)
+    algo1, h1 = _single_family(records_first, "first")
     if {r.algo for r in records_blockd} != {"blockd"}:
         raise ValueError("second record list must be blockd with h swept")
-    kind_blockd = _single_kind(records_blockd, "second")
     t_first = sorted({r.t for r in records_first})
     t_blockd = sorted({r.t for r in records_blockd})
     if t_first != t_blockd:
@@ -329,9 +337,9 @@ def difference_surface(records_first, records_blockd):
     stats_blockd = _group_stats(records_blockd)
     surface = np.empty((len(t_first), len(h_values)), dtype=np.float64)
     for i, t in enumerate(t_first):
-        m1 = stats_first[(algo1, kind1, t, h1)][0]
+        m1 = stats_first[(algo1, kind, t, h1)][0]
         for j, h in enumerate(h_values):
-            key = ("blockd", kind_blockd, t, h)
+            key = ("blockd", kind, t, h)
             if key not in stats_blockd:
                 raise ValueError(f"missing blockd cell t={t}, h={h}")
             surface[i, j] = m1 - stats_blockd[key][0]

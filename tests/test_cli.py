@@ -436,6 +436,42 @@ def test_compare_rejects_records_of_two_noise_kinds(capsys, tmp_path, corpus_dir
     assert "first records mix noise kinds ['bitflip', 'erase']" in stderr and "Traceback" not in stderr
 
 
+def test_compare_rejects_sides_of_different_noise_kinds(capsys, tmp_path, corpus_dir):
+    csvs = []
+    for kind, algorithms in (("bitflip", "fs"), ("erase", "blockd:h=3")):
+        cfg, out = tmp_path / f"{kind}.cfg", tmp_path / f"{kind}.csv"
+        write_config(cfg, corpus_dir, algorithms=algorithms)
+        cfg.write_text(cfg.read_text().replace("kind = bitflip", f"kind = {kind}"))
+        assert run(capsys, "sweep", "--spec", str(cfg), "--out", str(out))[0] == 0
+        csvs.append(out.read_text().splitlines())
+    both = tmp_path / "both.csv"
+    both.write_text("\n".join(csvs[0] + csvs[1][1:]) + "\n")
+    code, stdout, stderr = run(capsys, "compare", "--records", str(both), "--a", "fs", "--b", "blockd")
+    assert code == 2 and stdout == ""
+    assert "different noise kinds: 'bitflip' vs 'erase'" in stderr and "Traceback" not in stderr
+
+
+@pytest.mark.parametrize(
+    "column, value, fragment",
+    [
+        pytest.param(3, "7.5", "noise power must lie in [0, 1]", id="t-7.5"),
+        pytest.param(3, "nan", "noise power", id="t-nan"),
+        pytest.param(6, "-1", "seed must be", id="seed-negative"),
+    ],
+)
+def test_compare_rejects_record_t_and_seed_out_of_rule(capsys, tmp_path, corpus_dir, column, value, fragment):
+    cfg, out = tmp_path / "sweep.cfg", tmp_path / "records.csv"
+    write_config(cfg, corpus_dir)
+    assert run(capsys, "sweep", "--spec", str(cfg), "--out", str(out))[0] == 0
+    lines = out.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[column] = value
+    out.write_text("\n".join(lines[:2] + [",".join(fields)] + lines[3:]) + "\n")
+    code, stdout, stderr = run(capsys, "compare", "--records", str(out), "--a", "fs", "--b", "blockd")
+    assert code == 2 and stdout == ""
+    assert f"{out}:3: {fragment}" in stderr and "Traceback" not in stderr
+
+
 # ---------------------------------------------------------------------------
 # screens and exit codes
 # ---------------------------------------------------------------------------

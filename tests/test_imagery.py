@@ -81,6 +81,9 @@ def test_histogram_must_be_normalized_and_non_negative():
         Histogram(np.array([0.5, 0.6]))
     with pytest.raises(ValueError):
         Histogram(np.array([-0.1, 1.1]))
+    for bad in ([np.nan, 1.0], [np.nan, np.nan]):  # NaN fails both bin checks
+        with pytest.raises(ValueError):
+            Histogram(np.array(bad))
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,22 @@ def test_compare_rejects_mixed_noise_kinds():
     assert compare(k[1:], t_side[1:])[0].verdict == "T_MORE_ROBUST"
 
 
+def test_compare_rejects_sides_of_different_noise_kinds():
+    # fs under bitflip against dotdif under erase ranks two channels, not two algorithms
+    k, t_side = [rec(algo="fs", q=0.1)], [rec(algo="dotdif", q=0.2, noise_kind="erase")]
+    with pytest.raises(ValueError, match="the two sides were recorded under different noise kinds: 'bitflip' vs 'erase'"):
+        compare(k, t_side)
+    with pytest.raises(ValueError, match="different noise kinds: 'erase' vs 'bitflip'"):
+        compare(t_side, k)
+
+
+def test_compare_names_a_side_with_empty_and_integer_h():
+    side = [rec(algo="blockd", h=None), rec(algo="blockd", h=3)]
+    message = "first records must cover exactly one algorithm, got [('blockd', 3), ('blockd', None)]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        compare(side, [rec(algo="fs")])
+
+
 # ---------------------------------------------------------------------------
 # difference surface
 # ---------------------------------------------------------------------------
@@ -333,6 +349,13 @@ def test_surface_rejects_mixed_noise_kinds():
         difference_surface(first, second)
     with pytest.raises(ValueError, match="first records mix noise kinds"):
         difference_surface(first + [rec(algo="fs", noise_kind="erase")], second[:1])
+
+
+def test_surface_rejects_sides_of_different_noise_kinds():
+    first = [rec(algo="fs", t=t) for t in (0.1, 0.2)]
+    second = [rec(algo="blockd", t=t, h=5, noise_kind="erase") for t in (0.1, 0.2)]
+    with pytest.raises(ValueError, match="different noise kinds: 'bitflip' vs 'erase'"):
+        difference_surface(first, second)
 
 
 def test_surface_rejects_incomplete_grid():
@@ -405,6 +428,9 @@ def test_record_invariants_enforced():
         rec(f_in=1.5)
     for bad in (dict(q=math.nan), dict(e_dist=math.nan), dict(e_dist=1.5), dict(f_out=math.inf), dict(f_in=math.nan)):
         with pytest.raises(ValueError):
+            rec(**bad)
+    for bad, message in ((dict(t=7.5), "noise power"), (dict(t=math.nan), "noise power"), (dict(seed=-1), "seed")):
+        with pytest.raises(ValueError, match=message):
             rec(**bad)
     assert rec(q=math.inf).q_bits == math.inf
 
