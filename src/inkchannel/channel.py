@@ -92,11 +92,15 @@ class BlockSpec:
             raise ValueError(f"block size must be odd and >= 3, got {self.size}")
 
 
-def _check_kind(kind: str, block: BlockSpec | None) -> None:
-    """The channel-kind rule: a known kind, with a block exactly for block erase."""
+def _known_kind(kind: str) -> str:
     if kind not in CHANNEL_KINDS:
         raise ValueError(f"unknown channel kind {kind!r} (expected one of {CHANNEL_KINDS})")
-    if (block is not None) != (kind == "block-erase"):
+    return kind
+
+
+def _check_kind(kind: str, block: BlockSpec | None) -> None:
+    """The channel-kind rule: a known kind, with a block exactly for block erase."""
+    if (block is not None) != (_known_kind(kind) == "block-erase"):
         raise ValueError("block spec must be present exactly when kind is 'block-erase'")
 
 

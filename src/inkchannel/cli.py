@@ -151,10 +151,7 @@ _REQUIRED_KEYS = ("algorithms", "kind", "t_grid", "reps", "seed", "corpus")
 
 def parse_sweep_config(path) -> robustness.SweepSpec:
     """Parse the flat key = value sweep config; see sweep.example.cfg."""
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    lines = Path(path).read_text().splitlines()
     fields: dict = {}
     for lineno, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()

@@ -32,35 +32,7 @@ __all__ = [
     "screen_catalog",
 ]
 
-_BAYER_BASE = np.array([[0, 2], [3, 1]], dtype=np.int64)
-
-# Clustered-dot screens: cells ranked by distance from the tile center, ties
-# broken by angle, so dots grow outward from the center as darkness rises.
-_CDOT_4 = np.array(
-    [
-        [12, 5, 6, 13],
-        [4, 0, 1, 7],
-        [11, 3, 2, 8],
-        [15, 10, 9, 14],
-    ],
-    dtype=np.int64,
-)
-
-_CDOT_8 = np.array(
-    [
-        [60, 53, 45, 34, 35, 46, 54, 61],
-        [52, 33, 25, 17, 18, 26, 36, 55],
-        [44, 24, 12, 5, 6, 13, 27, 47],
-        [32, 16, 4, 0, 1, 7, 19, 37],
-        [43, 23, 11, 3, 2, 8, 20, 38],
-        [51, 31, 15, 10, 9, 14, 28, 48],
-        [59, 42, 30, 22, 21, 29, 39, 56],
-        [63, 58, 50, 41, 40, 49, 57, 62],
-    ],
-    dtype=np.int64,
-)
-
-# Knuth's 8x8 class matrix for dot diffusion (0-indexed processing order).
+# Knuth's 8x8 class matrix for dot diffusion (0-indexed processing order); no rule gives it.
 _CLASS_8 = np.array(
     [
         [34, 48, 40, 32, 29, 15, 23, 31],
@@ -83,18 +55,38 @@ _DD_NEIGHBORS = (
 )
 
 
-def bayer_matrix(order: int) -> np.ndarray:
+def _bayer(order: int) -> np.ndarray:
     """Classical recursive Bayer index matrix; base case [[0, 2], [3, 1]]."""
-    HalftoneSpec("bayer", matrix_order=order)
-    m = _BAYER_BASE
+    m = np.array([[0, 2], [3, 1]], dtype=np.int64)
     while m.shape[0] < order:
         m = np.block([[4 * m, 4 * m + 2], [4 * m + 3, 4 * m + 1]])
-    return m.copy()
+    return m
+
+
+def _clustered_dot(order: int) -> np.ndarray:
+    """Cells ranked by squared distance from the tile centre, ties broken by
+    angle, so dots grow outward from the centre as darkness rises.  Exact: the
+    half-integer offsets square exactly, and no two cells at one distance share an angle."""
+    dy, dx = np.mgrid[:order, :order] + 0.5 - order / 2
+    cells_by_rank = np.lexsort((np.arctan2(dy, dx).ravel(), (dy * dy + dx * dx).ravel()))
+    return np.argsort(cells_by_rank).reshape(order, order)
+
+
+# screen algorithm -> matrix order -> index matrix, built once at import
+_SCREENS = {
+    "bayer": {order: _bayer(order) for order in (2, 4, 8)},
+    "cdot": {order: _clustered_dot(order) for order in (4, 8)},
+}
+
+
+def bayer_matrix(order: int) -> np.ndarray:
+    HalftoneSpec("bayer", matrix_order=order)
+    return _SCREENS["bayer"][order].copy()
 
 
 def clustered_dot_matrix(order: int) -> np.ndarray:
     HalftoneSpec("cdot", matrix_order=order)
-    return {4: _CDOT_4, 8: _CDOT_8}[order].copy()
+    return _SCREENS["cdot"][order].copy()
 
 
 def dot_diffusion_classes() -> np.ndarray:
@@ -103,14 +95,8 @@ def dot_diffusion_classes() -> np.ndarray:
 
 def screen_catalog() -> dict[str, np.ndarray]:
     """All compiled-in screen/class matrices, for audit."""
-    return {
-        "bayer-2": bayer_matrix(2),
-        "bayer-4": bayer_matrix(4),
-        "bayer-8": bayer_matrix(8),
-        "cdot-4": clustered_dot_matrix(4),
-        "cdot-8": clustered_dot_matrix(8),
-        "dotdif-classes": dot_diffusion_classes(),
-    }
+    screens = {f"{name}-{order}": m.copy() for name, by_order in _SCREENS.items() for order, m in by_order.items()}
+    return screens | {"dotdif-classes": dot_diffusion_classes()}
 
 
 @dataclass(frozen=True)
@@ -134,13 +120,14 @@ class HalftoneSpec:
             raise ValueError(f"threshold level must lie in [0, 1], got {self.level}")
         if self.seed is not None:
             _check_seed(self.seed)
-        if self.matrix_order is not None and _check_int(self.matrix_order, "matrix order") not in (2, 4, 8):
-            raise ValueError(f"matrix order must be 2, 4, or 8, got {self.matrix_order}")
+        screen = self.algorithm if self.algorithm in _SCREENS else "bayer"  # the rest check the Bayer orders
+        if self.matrix_order is not None and _check_int(self.matrix_order, "matrix order") not in _SCREENS[screen]:
+            *rest, last = _SCREENS[screen]
+            orders = f"{', '.join(map(str, rest))} and {last}"
+            raise ValueError(f"{screen} supports matrix orders {orders} only, got {self.matrix_order}")
         _, field, _, default = _REGISTRY[self.algorithm]
         if isinstance(default, _Required) and getattr(self, field) is None:
             raise ValueError(f"{self.algorithm} requires {default}")
-        if self.algorithm == "cdot" and self.matrix_order == 2:
-            raise ValueError("cdot supports matrix orders 4 and 8 only")
 
     def label(self) -> str:
         """Stable identifier used in reports and CSV output (h is reported

@@ -17,7 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import BlockSpec, ChannelConfig, NoisePower, _check_int, _check_kind, _check_seed, derive_seed, transmit
+from .channel import (
+    BlockSpec, ChannelConfig, NoisePower, _check_int, _check_kind, _check_seed, _known_kind, derive_seed, transmit
+)
 from .halftone import HalftoneSpec, halftone
 from .imagery import read_gray
 from .metrics import HistogramSpec, euclidean_distance, image_relative_entropy
@@ -113,7 +115,14 @@ class RobustnessRecord:
     f_out: float
 
     def __post_init__(self):
+        _known_kind(self.noise_kind)
         NoisePower(self.t)
+        if self.h is not None:  # a blockd record may leave h empty
+            if self.algo != "blockd":
+                raise ValueError(f"h is recorded for blockd only, got h={self.h!r} for {self.algo!r}")
+            HalftoneSpec("blockd", h=self.h)
+        if _check_int(self.rep, "rep") < 0:
+            raise ValueError(f"rep must be >= 0, got {self.rep}")
         _check_seed(self.seed)
         if not 0.0 <= self.q_bits <= math.inf:
             raise ValueError(f"divergence must lie in [0, inf], got {self.q_bits}")
@@ -218,7 +227,7 @@ def is_epsilon_robust(records, epsilon: float):
     records = list(records)
     if not records:
         raise ValueError("no records to judge")
-    if epsilon < 0:
+    if not epsilon >= 0:  # false for NaN too
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     worst = max(records, key=lambda r: r.q_bits)
     return worst.q_bits <= epsilon, worst.q_bits, worst

@@ -394,6 +394,13 @@ def test_sweep_jobs_below_one_exit_2(capsys, tmp_path, corpus_dir):
     assert "jobs must be >= 1" in stderr and "Traceback" not in stderr
 
 
+def test_sweep_missing_config_exit_3(capsys, tmp_path):
+    cfg = tmp_path / "absent.cfg"
+    code, stdout, stderr = run(capsys, "sweep", "--spec", str(cfg), "--out", str(tmp_path / "r.csv"))
+    assert code == 3 and stdout == ""
+    assert str(cfg) in stderr and "Traceback" not in stderr
+
+
 def test_sweep_zero_noise_rows_present(capsys, tmp_path, corpus_dir):
     cfg = tmp_path / "sweep.cfg"
     write_config(cfg, corpus_dir, algorithms="fs")
@@ -472,6 +479,19 @@ def test_compare_rejects_record_t_and_seed_out_of_rule(capsys, tmp_path, corpus_
     assert f"{out}:3: {fragment}" in stderr and "Traceback" not in stderr
 
 
+def test_compare_rejects_record_of_unknown_kind(capsys, tmp_path, corpus_dir):
+    cfg, out = tmp_path / "sweep.cfg", tmp_path / "records.csv"
+    write_config(cfg, corpus_dir)
+    assert run(capsys, "sweep", "--spec", str(cfg), "--out", str(out))[0] == 0
+    lines = out.read_text().splitlines()
+    fields = lines[1].split(",")
+    fields[2] = "bogus"
+    out.write_text("\n".join([lines[0], ",".join(fields)] + lines[2:]) + "\n")
+    code, stdout, stderr = run(capsys, "compare", "--records", str(out), "--a", "fs", "--b", "blockd")
+    assert code == 2 and stdout == ""
+    assert f"{out}:2: unknown channel kind 'bogus'" in stderr and "Traceback" not in stderr
+
+
 # ---------------------------------------------------------------------------
 # screens and exit codes
 # ---------------------------------------------------------------------------
@@ -541,6 +561,10 @@ REQUIRED = ("algorithms", "kind", "t_grid", "reps", "seed", "corpus")
         pytest.param(
             {"algorithms": "blockd:h=11:h=19, fs"}, None, "", "algorithm 'blockd:h=11:h=19': repeated parameter 'h'", 1,
             id="repeated-parameter",
+        ),
+        pytest.param(
+            {"algorithms": "cdot:order=3, fs"}, None, "",
+            "algorithm 'cdot:order=3': cdot supports matrix orders 4 and 8 only, got 3", 1, id="cdot-order-3",
         ),
     ],
 )

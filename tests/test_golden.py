@@ -1,4 +1,4 @@
-"""Pinned sha256 digests of netpbm bytes and sweep CSVs.
+"""Pinned sha256 digests of netpbm bytes, sweep CSVs and the screens listing.
 
 The determinism tests elsewhere compare a run with itself; these compare it
 with bytes produced before any refactor.  A digest here may change only in a
@@ -25,6 +25,7 @@ from inkchannel import (
     write_gray,
     write_records_csv,
 )
+from inkchannel.cli import main
 
 from conftest import natural_gray
 
@@ -102,6 +103,9 @@ RAGGED_HISTOGRAM_DIGESTS = {  # block size -> sha256 of the 16-bin block histogr
     16: "eb4e4bb3acbdb74cfae8d51132e3f37062b2f2556051ec6af1e88e86f3f04e57",
 }
 
+# `inkchannel screens` stdout: every compiled-in screen and class matrix
+SCREENS_DIGEST = "ee456c4ba09918345732b200f47b6a6a76b15dc654349fbb94fc7cd907f51f17"
+
 HISTOGRAMS = {
     "binary": HistogramSpec(mode="binary", smoothing=1e-9),
     "block:8x16": HistogramSpec(mode="block", block=8, bins=16, smoothing=1e-9),
@@ -165,3 +169,8 @@ def test_sweep_csv_bytes(tmp_path, corpus_dir, kind, hist):
     write_records_csv(records, tmp_path / "records.csv")
     write_aggregates_csv(corpus_average(records), tmp_path / "agg.csv")
     assert (sha256(tmp_path / "records.csv"), sha256(tmp_path / "agg.csv")) == SWEEP_DIGESTS[kind, hist]
+
+
+def test_screens_bytes(capsys):
+    assert main(["screens"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SCREENS_DIGEST

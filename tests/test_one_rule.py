@@ -45,6 +45,16 @@ HALF = Histogram(np.array([0.5, 0.5]))
             id="order-4.0",
         ),
         pytest.param(
+            lambda: HalftoneSpec("bayer", matrix_order=16),
+            (lambda: bayer_matrix(16), lambda: halftone_bayer(GRAY, 16)),
+            id="bayer-order-16",
+        ),
+        pytest.param(
+            lambda: HalftoneSpec("cdot", matrix_order=3),
+            (lambda: clustered_dot_matrix(3), lambda: halftone_clustered_dot(GRAY, 3)),
+            id="cdot-order-3",
+        ),
+        pytest.param(
             lambda: HalftoneSpec("cdot", matrix_order=2),
             (lambda: clustered_dot_matrix(2), lambda: halftone_clustered_dot(GRAY, 2)),
             id="cdot-order-2",
@@ -71,3 +81,11 @@ def test_cli_smoothing_names_its_flag_before_the_spec_message():
     with pytest.raises(ValueError) as from_cli:
         _parse_smoothing("additive:inf")
     assert str(from_cli.value) == f"--smoothing: {from_spec.value}"
+
+
+@pytest.mark.parametrize("order", [2, 3, 16])
+def test_cdot_order_message_names_only_the_cdot_orders(order):
+    with pytest.raises(ValueError) as from_spec:
+        HalftoneSpec("cdot", matrix_order=order)
+    allowed = str(from_spec.value).partition("got")[0]
+    assert "4 and 8" in allowed and "2" not in allowed

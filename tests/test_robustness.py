@@ -221,6 +221,8 @@ def test_epsilon_robust_validation():
         is_epsilon_robust([], 0.1)
     with pytest.raises(ValueError):
         is_epsilon_robust([rec()], -0.1)
+    with pytest.raises(ValueError, match="epsilon must be >= 0, got nan"):
+        is_epsilon_robust([rec()], math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +435,18 @@ def test_record_invariants_enforced():
         with pytest.raises(ValueError, match=message):
             rec(**bad)
     assert rec(q=math.inf).q_bits == math.inf
+    for bad, message in (
+        (dict(noise_kind="bogus"), "unknown channel kind 'bogus'"),
+        (dict(algo="blockd", h=0), "block size h must be >= 1, got 0"),
+        (dict(algo="blockd", h=-5), "block size h must be >= 1, got -5"),
+        (dict(algo="blockd", h=2.5), "block size h must be an integer, got 2.5"),
+        (dict(algo="fs", h=3), "h is recorded for blockd only, got h=3 for 'fs'"),
+        (dict(rep=-1), "rep must be >= 0, got -1"),
+        (dict(rep=1.5), "rep must be an integer"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rec(**bad)
+    assert rec(algo="blockd", h=None).h is None and rec(algo="blockd", h=3).h == 3
 
 
 def test_read_records_csv_rejects_nan(tmp_path):
