@@ -84,7 +84,7 @@ _ALGORITHM_PARAMS = {"h": ("h", int), "level": ("level", float), "seed": ("seed"
 
 
 def _parse_algorithm_token(token: str) -> HalftoneSpec:
-    name, *params = token.strip().split(":")
+    name, *params = token.split(":")
     kwargs: dict = {}
     try:
         for part in params:
@@ -136,7 +136,7 @@ def _expand_corpus(text: str) -> list[str]:
 
 # config key -> (SweepSpec field, value parser); "smoothing" meets "histogram" after the parse
 _SWEEP_KEYS = {
-    "algorithms": ("algorithms", lambda v: [_parse_algorithm_token(tok) for tok in v.split(",") if tok.strip()]),
+    "algorithms": ("algorithms", lambda v: [_parse_algorithm_token(tok) for tok in map(str.strip, v.split(",")) if tok]),
     "kind": ("channel_kind", str),
     "block": ("block", lambda v: channel.BlockSpec(_parse_int(v))),
     "t_grid": ("t_grid", lambda v: _parse_float_list(v, "t_grid")),
@@ -151,7 +151,12 @@ _REQUIRED_KEYS = ("algorithms", "kind", "t_grid", "reps", "seed", "corpus")
 
 def parse_sweep_config(path) -> robustness.SweepSpec:
     """Parse the flat key = value sweep config; see sweep.example.cfg."""
-    lines = Path(path).read_text().splitlines()
+    data = Path(path).read_bytes()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:  # name the line holding the bad byte, counted as splitlines counts
+        lineno = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
     fields: dict = {}
     for lineno, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -301,17 +306,11 @@ def cmd_sweep(args) -> int:
 
 
 def _write_sweep_meta(spec: robustness.SweepSpec, path: str) -> None:
-    meta = {
+    meta = dataclasses.asdict(spec) | {
         "algorithms": [a.label() for a in spec.algorithms],
         "blockd_h": sorted({a.h for a in spec.algorithms if a.algorithm == "blockd"}),
-        "channel_kind": spec.channel_kind,
         "block": None if spec.block is None else spec.block.size,
-        "t_grid": list(spec.t_grid),
         "achieved_noise_density": [channel.noise_density(channel.NoisePower(t)) for t in spec.t_grid],
-        "reps": spec.reps,
-        "histogram": dataclasses.asdict(spec.histogram),
-        "master_seed": spec.master_seed,
-        "corpus": list(spec.corpus),
     }
     Path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 

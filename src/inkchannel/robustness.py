@@ -242,87 +242,69 @@ def _mean_stderr(values) -> tuple[float, float]:
     return mean, stderr
 
 
-def _group_stats(records) -> dict:
-    """(algo, noise_kind, t, h) -> (mean_q, stderr_q, n); the single source of
-    truth behind both corpus_average and compare."""
+def corpus_average(records) -> list[AggregateRow]:
+    """Mean q with standard error per (algorithm, t), over images x reps; the one
+    grouping of records, whose rows compare and difference_surface read."""
     groups: dict = {}
     for r in records:
         groups.setdefault((r.algo, r.noise_kind, r.t, r.h), []).append(r.q_bits)
-    return {k: (*_mean_stderr(v), len(v)) for k, v in groups.items()}
-
-
-def corpus_average(records) -> list[AggregateRow]:
-    """Mean q with standard error per (algorithm, t), over images x reps."""
-    records = list(records)
-    if not records:
+    if not groups:
         raise ValueError("no records to aggregate")
-    stats = _group_stats(records)
     rows = [
-        AggregateRow(algo=k[0], noise_kind=k[1], t=k[2], h=k[3], mean_q=v[0], stderr_q=v[1], n=v[2])
-        for k, v in stats.items()
+        AggregateRow(algo, kind, t, h, *_mean_stderr(qs), len(qs)) for (algo, kind, t, h), qs in groups.items()
     ]
     rows.sort(key=lambda r: (r.algo, r.t, -1 if r.h is None else r.h))
     return rows
 
 
-def _single_kind(records, side: str) -> str:
-    kinds = {r.noise_kind for r in records}
-    if len(kinds) != 1:
-        raise ValueError(f"{side} records mix noise kinds {sorted(kinds)}")
-    return kinds.pop()
-
-
-def _two_sides(records_a, records_b) -> tuple[list, list, str]:
-    """Both sides as lists, each non-empty and of one noise kind, the same on both sides."""
-    records_a, records_b = list(records_a), list(records_b)
+def _side_rows(records_a: list, records_b: list) -> tuple[list, list]:
+    """Each side's corpus_average rows; each side non-empty and of one noise kind, the same on both sides."""
     if not records_a or not records_b:
         raise ValueError("both record lists must be non-empty")
-    kind_a, kind_b = _single_kind(records_a, "first"), _single_kind(records_b, "second")
-    if kind_a != kind_b:
-        raise ValueError(f"the two sides were recorded under different noise kinds: {kind_a!r} vs {kind_b!r}")
-    return records_a, records_b, kind_a
+    rows_a, rows_b = corpus_average(records_a), corpus_average(records_b)
+    kinds = []
+    for side, rows in (("first", rows_a), ("second", rows_b)):
+        side_kinds = {r.noise_kind for r in rows}
+        if len(side_kinds) != 1:
+            raise ValueError(f"{side} records mix noise kinds {sorted(side_kinds)}")
+        kinds.extend(side_kinds)
+    if kinds[0] != kinds[1]:
+        raise ValueError(f"the two sides were recorded under different noise kinds: {kinds[0]!r} vs {kinds[1]!r}")
+    return rows_a, rows_b
 
 
-def _single_family(records, side: str) -> tuple[str, int | None]:
-    """(algo, h) shared by every record of one side."""
-    labels = {(r.algo, r.h) for r in records}
+def _single_family(rows, side: str) -> None:
+    """Every row of one side shares one (algo, h)."""
+    labels = {(r.algo, r.h) for r in rows}
     if len(labels) != 1:
         raise ValueError(f"{side} records must cover exactly one algorithm, got {sorted(labels, key=str)}")
-    [(algo, h)] = labels
-    return algo, h
 
 
-def compare(records_k, records_t, tie_tolerance: float = DEFAULT_TIE_TOLERANCE) -> list[ComparisonVerdict]:
+def compare(records_k, records_t) -> list[ComparisonVerdict]:
     """Per-t verdicts: the algorithm with smaller mean q is more robust there.
 
-    Means come from the same grouping as corpus_average.  |difference| within
-    ``tie_tolerance`` is a TIE.
+    Means are corpus_average's.  |difference| within DEFAULT_TIE_TOLERANCE is a TIE.
     """
-    records_k, records_t, kind = _two_sides(records_k, records_t)
-    algo_k, h_k = _single_family(records_k, "first")
-    algo_t, h_t = _single_family(records_t, "second")
-    grid_k = {(r.image, r.t) for r in records_k}
-    grid_t = {(r.image, r.t) for r in records_t}
-    if grid_k != grid_t:
+    records_k, records_t = list(records_k), list(records_t)
+    rows_k, rows_t = _side_rows(records_k, records_t)
+    _single_family(rows_k, "first")
+    _single_family(rows_t, "second")
+    if {(r.image, r.t) for r in records_k} != {(r.image, r.t) for r in records_t}:
         raise ValueError("record lists cover different (image, t) grids")
-    stats_k, stats_t = _group_stats(records_k), _group_stats(records_t)
     verdicts = []
-    for t in sorted({r.t for r in records_k}):
-        mean_k = stats_k[(algo_k, kind, t, h_k)][0]
-        mean_t = stats_t[(algo_t, kind, t, h_t)][0]
+    for row_k, row_t in zip(rows_k, rows_t):  # one row per t on each side, both sorted by t
+        mean_k, mean_t = row_k.mean_q, row_t.mean_q
         if math.isinf(mean_k) and math.isinf(mean_t):
             diff, verdict = 0.0, "TIE"
         else:
             diff = mean_k - mean_t
-            if abs(diff) <= tie_tolerance:
+            if abs(diff) <= DEFAULT_TIE_TOLERANCE:
                 verdict = "TIE"
             elif diff < 0:
                 verdict = "K_MORE_ROBUST"
             else:
                 verdict = "T_MORE_ROBUST"
-        verdicts.append(
-            ComparisonVerdict(algo_k=algo_k, algo_t=algo_t, t=t, mean_k=mean_k, mean_t=mean_t, diff=diff, verdict=verdict)
-        )
+        verdicts.append(ComparisonVerdict(row_k.algo, row_t.algo, row_k.t, mean_k, mean_t, diff, verdict))
     return verdicts
 
 
@@ -333,25 +315,25 @@ def difference_surface(records_first, records_blockd):
     mean q_first(t_i) - mean q_blockd(t_i, h_j).  Positive entries mark where
     the block algorithm is more robust.
     """
-    records_first, records_blockd, kind = _two_sides(records_first, records_blockd)
-    algo1, h1 = _single_family(records_first, "first")
-    if {r.algo for r in records_blockd} != {"blockd"}:
+    rows_first, rows_blockd = _side_rows(list(records_first), list(records_blockd))
+    _single_family(rows_first, "first")
+    if {r.algo for r in rows_blockd} != {"blockd"}:
         raise ValueError("second record list must be blockd with h swept")
-    t_first = sorted({r.t for r in records_first})
-    t_blockd = sorted({r.t for r in records_blockd})
+    means = {(r.t, r.h): r.mean_q for r in rows_blockd}
+    t_first = [r.t for r in rows_first]
+    t_blockd = sorted({t for t, _ in means})
     if t_first != t_blockd:
         raise ValueError(f"t grids differ: {t_first} vs {t_blockd}")
-    h_values = sorted({r.h for r in records_blockd})
-    stats_first = _group_stats(records_first)
-    stats_blockd = _group_stats(records_blockd)
+    h_set = {h for _, h in means}
+    if None in h_set and len(h_set) > 1:
+        raise ValueError(f"second records mix an empty h with h = {sorted(h_set - {None})}")
+    h_values = sorted(h_set)
     surface = np.empty((len(t_first), len(h_values)), dtype=np.float64)
-    for i, t in enumerate(t_first):
-        m1 = stats_first[(algo1, kind, t, h1)][0]
+    for i, row in enumerate(rows_first):
         for j, h in enumerate(h_values):
-            key = ("blockd", kind, t, h)
-            if key not in stats_blockd:
-                raise ValueError(f"missing blockd cell t={t}, h={h}")
-            surface[i, j] = m1 - stats_blockd[key][0]
+            if (row.t, h) not in means:
+                raise ValueError(f"missing blockd cell t={row.t}, h={h}")
+            surface[i, j] = row.mean_q - means[row.t, h]
     return t_first, h_values, surface
 
 

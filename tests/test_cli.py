@@ -394,6 +394,17 @@ def test_sweep_jobs_below_one_exit_2(capsys, tmp_path, corpus_dir):
     assert "jobs must be >= 1" in stderr and "Traceback" not in stderr
 
 
+def test_sweep_config_not_utf8_names_file_and_line(capsys, tmp_path, corpus_dir):
+    cfg = tmp_path / "sweep.cfg"
+    write_config(cfg, corpus_dir)
+    lines = cfg.read_bytes().split(b"\n")
+    lines[1] += b"  # caf\xff"
+    cfg.write_bytes(b"\n".join(lines))
+    code, stdout, stderr = run(capsys, "sweep", "--spec", str(cfg), "--out", str(tmp_path / "r.csv"))
+    assert code == 2 and stdout == ""
+    assert f"{cfg}:2: 'utf-8' codec can't decode byte 0xff" in stderr and "Traceback" not in stderr
+
+
 def test_sweep_missing_config_exit_3(capsys, tmp_path):
     cfg = tmp_path / "absent.cfg"
     code, stdout, stderr = run(capsys, "sweep", "--spec", str(cfg), "--out", str(tmp_path / "r.csv"))
@@ -563,8 +574,16 @@ REQUIRED = ("algorithms", "kind", "t_grid", "reps", "seed", "corpus")
             id="repeated-parameter",
         ),
         pytest.param(
+            {"algorithms": "fs, blockd:h=11:h=19"}, None, "", "algorithm 'blockd:h=11:h=19': repeated parameter 'h'", 1,
+            id="repeated-parameter-after-first",
+        ),
+        pytest.param(
             {"algorithms": "cdot:order=3, fs"}, None, "",
             "algorithm 'cdot:order=3': cdot supports matrix orders 4 and 8 only, got 3", 1, id="cdot-order-3",
+        ),
+        pytest.param(
+            {"algorithms": "fs, cdot:order=3"}, None, "",
+            "algorithm 'cdot:order=3': cdot supports matrix orders 4 and 8 only, got 3", 1, id="cdot-order-3-after-first",
         ),
     ],
 )

@@ -1,4 +1,4 @@
-"""Pinned sha256 digests of netpbm bytes, sweep CSVs and the screens listing.
+"""Pinned sha256 digests of netpbm bytes, sweep outputs and the screens listing.
 
 The determinism tests elsewhere compare a run with itself; these compare it
 with bytes produced before any refactor.  A digest here may change only in a
@@ -6,6 +6,7 @@ change that says why the bytes are meant to change.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,7 @@ from inkchannel import (
     SweepSpec,
     block_lightness_histogram,
     corpus_average,
+    difference_surface,
     halftone,
     run_sweep,
     transmit_block_erase,
@@ -28,6 +30,8 @@ from inkchannel import (
 from inkchannel.cli import main
 
 from conftest import natural_gray
+
+EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "sweep.example.cfg"
 
 ALGORITHMS = (
     HalftoneSpec("threshold"),
@@ -106,6 +110,15 @@ RAGGED_HISTOGRAM_DIGESTS = {  # block size -> sha256 of the 16-bin block histogr
 # `inkchannel screens` stdout: every compiled-in screen and class matrix
 SCREENS_DIGEST = "ee456c4ba09918345732b200f47b6a6a76b15dc654349fbb94fc7cd907f51f17"
 
+# `inkchannel compare --a fs --b blockd` stdout on the bitflip/binary sweep records above
+COMPARE_DIGEST = "562605ed60ce7c1b8e69c680a15181dda4c9cf511c98b3a48d27b281494782fe"
+
+# difference_surface of fs against blockd h=5 and h=11: t, h and repr of every value
+SURFACE_DIGEST = "e07397dce1d8e2c76183aa9117edd7d16eed8f0eb604213ab486cddd06aca616"
+
+# meta.json of `inkchannel sweep --spec sweep.example.cfg`, run where ./corpus holds one image
+META_DIGEST = "a067423609152f488a68cdf4cf138103e790b4bccb73dfdac53e79827e4434fc"
+
 HISTOGRAMS = {
     "binary": HistogramSpec(mode="binary", smoothing=1e-9),
     "block:8x16": HistogramSpec(mode="block", block=8, bins=16, smoothing=1e-9),
@@ -153,10 +166,9 @@ def test_block_histogram_ragged_edges(ragged, block):
     assert hashlib.sha256(bins.tobytes()).hexdigest() == RAGGED_HISTOGRAM_DIGESTS[block]
 
 
-@pytest.mark.parametrize("kind, hist", sorted(SWEEP_DIGESTS))
-def test_sweep_csv_bytes(tmp_path, corpus_dir, kind, hist):
-    spec = SweepSpec(
-        algorithms=ALGORITHMS,
+def golden_sweep(corpus_dir, kind="bitflip", hist="binary", algorithms=ALGORITHMS):
+    return run_sweep(SweepSpec(
+        algorithms=algorithms,
         channel_kind=kind,
         t_grid=(0.0, 0.3),
         reps=2,
@@ -164,8 +176,12 @@ def test_sweep_csv_bytes(tmp_path, corpus_dir, kind, hist):
         master_seed=11,
         corpus=tuple(sorted(str(p) for p in corpus_dir.glob("*.pgm"))),
         block=BlockSpec(3) if kind == "block-erase" else None,
-    )
-    records = run_sweep(spec)
+    ))
+
+
+@pytest.mark.parametrize("kind, hist", sorted(SWEEP_DIGESTS))
+def test_sweep_csv_bytes(tmp_path, corpus_dir, kind, hist):
+    records = golden_sweep(corpus_dir, kind, hist)
     write_records_csv(records, tmp_path / "records.csv")
     write_aggregates_csv(corpus_average(records), tmp_path / "agg.csv")
     assert (sha256(tmp_path / "records.csv"), sha256(tmp_path / "agg.csv")) == SWEEP_DIGESTS[kind, hist]
@@ -174,3 +190,27 @@ def test_sweep_csv_bytes(tmp_path, corpus_dir, kind, hist):
 def test_screens_bytes(capsys):
     assert main(["screens"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SCREENS_DIGEST
+
+
+def test_compare_stdout_bytes(tmp_path, corpus_dir, capsys):
+    write_records_csv(golden_sweep(corpus_dir), tmp_path / "records.csv")
+    assert main(["compare", "--records", str(tmp_path / "records.csv"), "--a", "fs", "--b", "blockd"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == COMPARE_DIGEST
+
+
+def test_difference_surface_values(corpus_dir):
+    algorithms = (HalftoneSpec("fs"), HalftoneSpec("blockd", h=5), HalftoneSpec("blockd", h=11))
+    records = golden_sweep(corpus_dir, algorithms=algorithms)
+    t_vals, h_vals, surface = difference_surface(
+        [r for r in records if r.algo == "fs"], [r for r in records if r.algo == "blockd"]
+    )
+    text = f"{t_vals!r}\n{h_vals!r}\n" + "".join(" ".join(repr(float(v)) for v in row) + "\n" for row in surface)
+    assert hashlib.sha256(text.encode()).hexdigest() == SURFACE_DIGEST
+
+
+def test_sweep_meta_bytes(tmp_path, monkeypatch, capsys):
+    (tmp_path / "corpus").mkdir()
+    write_gray(natural_gray(32, 32), tmp_path / "corpus" / "scene.pgm")
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--spec", str(EXAMPLE_CONFIG), "--out", "records.csv"]) == 0
+    assert sha256(tmp_path / "records.meta.json") == META_DIGEST

@@ -360,6 +360,13 @@ def test_surface_rejects_sides_of_different_noise_kinds():
         difference_surface(first, second)
 
 
+def test_surface_names_a_blockd_side_with_empty_and_integer_h():
+    first = [rec(algo="fs", t=0.1)]
+    second = [rec(algo="blockd", t=0.1, h=None), rec(algo="blockd", t=0.1, h=3)]
+    with pytest.raises(ValueError, match=re.escape("second records mix an empty h with h = [3]")):
+        difference_surface(first, second)
+
+
 def test_surface_rejects_incomplete_grid():
     first = [rec(algo="fs", t=t) for t in (0.1, 0.2)]
     second = _blockd_records({(0.1, 5): 0.1, (0.2, 5): 0.1, (0.1, 11): 0.1})  # missing (0.2, 11)
