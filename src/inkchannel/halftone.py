@@ -224,40 +224,43 @@ def halftone_dot_diffusion(img: GrayImage) -> BinaryImage:
     the not-yet-processed 8-neighbors (class strictly greater), weight 2
     orthogonal and 1 diagonal, normalized over the eligible set.  With no
     eligible neighbor the error is dropped.
+
+    One pass per class quantizes that class's pixels (a stride-8 lattice) at
+    once.  A pixel's 8 neighbors lie in one 3x3 window of the tiled map and so
+    carry distinct classes: each pixel takes at most one addition per pass, in
+    class order, as a pixel-at-a-time loop would.
     """
     h, w = img.height, img.width
-    buf = _darkness(img).tolist()
-    out = [[0] * w for _ in range(h)]
-    cls = _CLASS_8.tolist()
+    buf = np.pad(_darkness(img), 1)  # the border soaks up error sent past the edge
+    classes = np.tile(_CLASS_8, (-(-h // 8), -(-w // 8)))[:h, :w]
+    padded = np.pad(classes, 1, constant_values=-1)
+    total = sum(wgt * (padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w] > classes) for dy, dx, wgt in _DD_NEIGHBORS)
+    out = np.zeros((h, w), dtype=np.uint8)
+    for c, (r, s) in enumerate(zip(*np.divmod(np.argsort(_CLASS_8, axis=None), 8))):
+        d = buf[1 + r : h + 1 : 8, 1 + s : w + 1 : 8]
+        ink = d >= 0.5
+        out[r::8, s::8] = ink
+        err = np.where(ink, d - 1.0, d)
+        tot = total[r::8, s::8]
+        scale = err / np.maximum(tot, 1)  # tot is 0 only where every later neighbor is off the image
+        for dy, dx, wgt in _DD_NEIGHBORS:
+            if _CLASS_8[(r + dy) % 8, (s + dx) % 8] > c:
+                buf[1 + r + dy : h + 1 + dy : 8, 1 + s + dx : w + 1 + dx : 8] += wgt * scale
+    return BinaryImage(out)
 
-    buckets = [[] for _ in range(64)]
-    for y in range(h):
-        crow = cls[y % 8]
-        for x in range(w):
-            buckets[crow[x % 8]].append((y, x))
 
-    for c, cells in enumerate(buckets):
-        for y, x in cells:
-            d = buf[y][x]
-            if d >= 0.5:
-                out[y][x] = 1
-                err = d - 1.0
-            else:
-                err = d
-            if not err:
-                continue
-            total = 0
-            targets = []
-            for dy, dx, wgt in _DD_NEIGHBORS:
-                ny, nx = y + dy, x + dx
-                if 0 <= ny < h and 0 <= nx < w and cls[ny % 8][nx % 8] > c:
-                    targets.append((ny, nx, wgt))
-                    total += wgt
-            if total:
-                scale = err / total
-                for ny, nx, wgt in targets:
-                    buf[ny][nx] += wgt * scale
-    return BinaryImage(np.array(out, dtype=np.uint8))
+def _block_dots(dark: np.ndarray, th: int, tw: int) -> np.ndarray:
+    """blockd's dots for a region cut into whole th x tw tiles, all tiles at once.
+
+    Each tile becomes a contiguous row, so a row sum runs the same pairwise
+    summation as the sum of the ravelled tile, and a stable row sort keeps
+    row-major tie order."""
+    ny, nx = dark.shape[0] // th, dark.shape[1] // tw
+    tiles = dark.reshape(ny, th, nx, tw).swapaxes(1, 2).reshape(ny * nx, th * tw)
+    k = (tiles.sum(axis=1) + 0.5).astype(np.int64)  # round half up: 0.5 darkness -> ink
+    dots = np.empty(tiles.shape, dtype=np.uint8)
+    np.put_along_axis(dots, np.argsort(-tiles, axis=1, kind="stable"), np.arange(th * tw) < k[:, None], axis=1)
+    return dots.reshape(ny, nx, th, tw).swapaxes(1, 2).reshape(dark.shape)
 
 
 def halftone_block_d(img: GrayImage, h: int) -> BinaryImage:
@@ -268,17 +271,14 @@ def halftone_block_d(img: GrayImage, h: int) -> BinaryImage:
     """
     HalftoneSpec("blockd", h=h)
     dark = _darkness(img)
-    out = np.zeros(dark.shape, dtype=np.uint8)
-    for y0 in range(0, img.height, h):
-        for x0 in range(0, img.width, h):
-            tile = dark[y0 : y0 + h, x0 : x0 + h]
-            flat = tile.ravel()
-            k = int(flat.sum() + 0.5)  # round half up: 0.5 darkness -> ink
-            if k <= 0:
-                continue
-            sub = np.zeros(flat.shape, dtype=np.uint8)
-            sub[np.argsort(-flat, kind="stable")[:k]] = 1
-            out[y0 : y0 + h, x0 : x0 + h] = sub.reshape(tile.shape)
+    out = np.empty(dark.shape, dtype=np.uint8)
+    body_y, body_x = img.height - img.height % h, img.width - img.width % h
+    # body, right column, bottom row and corner: each a grid of equal-size tiles
+    for ys in (slice(0, body_y), slice(body_y, img.height)):
+        for xs in (slice(0, body_x), slice(body_x, img.width)):
+            region = dark[ys, xs]
+            if region.size:
+                out[ys, xs] = _block_dots(region, min(h, region.shape[0]), min(h, region.shape[1]))
     return BinaryImage(out)
 
 

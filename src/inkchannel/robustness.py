@@ -117,6 +117,7 @@ class RobustnessRecord:
     def __post_init__(self):
         _known_kind(self.noise_kind)
         NoisePower(self.t)
+        object.__setattr__(self, "t", float(self.t))  # t=0 and t=0.0 group and print alike
         if self.h is not None:  # a blockd record may leave h empty
             if self.algo != "blockd":
                 raise ValueError(f"h is recorded for blockd only, got h={self.h!r} for {self.algo!r}")

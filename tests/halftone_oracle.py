@@ -1,0 +1,66 @@
+"""Scalar reference kernels for the vectorised dot diffusion and block halftoning.
+
+These are the pixel- and tile-at-a-time loops the numpy kernels in
+`inkchannel.halftone` replaced; the differential tests hold the two to the
+same output bits.  Each returns the uint8 bit array.
+"""
+
+import numpy as np
+
+from inkchannel.halftone import _DD_NEIGHBORS, _darkness, dot_diffusion_classes
+
+
+def dot_diffusion(img) -> np.ndarray:
+    """Pixels in ascending class order; each pushes its quantization error to
+    the not-yet-processed 8-neighbors, weights normalized over that set."""
+    h, w = img.height, img.width
+    buf = _darkness(img).tolist()
+    out = [[0] * w for _ in range(h)]
+    cls = dot_diffusion_classes().tolist()
+
+    buckets = [[] for _ in range(64)]
+    for y in range(h):
+        crow = cls[y % 8]
+        for x in range(w):
+            buckets[crow[x % 8]].append((y, x))
+
+    for c, cells in enumerate(buckets):
+        for y, x in cells:
+            d = buf[y][x]
+            if d >= 0.5:
+                out[y][x] = 1
+                err = d - 1.0
+            else:
+                err = d
+            if not err:
+                continue
+            total = 0
+            targets = []
+            for dy, dx, wgt in _DD_NEIGHBORS:
+                ny, nx = y + dy, x + dx
+                if 0 <= ny < h and 0 <= nx < w and cls[ny % 8][nx % 8] > c:
+                    targets.append((ny, nx, wgt))
+                    total += wgt
+            if total:
+                scale = err / total
+                for ny, nx, wgt in targets:
+                    buf[ny][nx] += wgt * scale
+    return np.array(out, dtype=np.uint8)
+
+
+def block_d(img, h: int) -> np.ndarray:
+    """Per h x h tile (edge tiles at their true size), round(sum of darkness)
+    dots at the darkest positions, ties broken in row-major order."""
+    dark = _darkness(img)
+    out = np.zeros(dark.shape, dtype=np.uint8)
+    for y0 in range(0, img.height, h):
+        for x0 in range(0, img.width, h):
+            tile = dark[y0 : y0 + h, x0 : x0 + h]
+            flat = tile.ravel()
+            k = int(flat.sum() + 0.5)  # round half up: 0.5 darkness -> ink
+            if k <= 0:
+                continue
+            sub = np.zeros(flat.shape, dtype=np.uint8)
+            sub[np.argsort(-flat, kind="stable")[:k]] = 1
+            out[y0 : y0 + h, x0 : x0 + h] = sub.reshape(tile.shape)
+    return out

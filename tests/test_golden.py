@@ -101,6 +101,14 @@ RAGGED_ERASE_DIGESTS = {  # block size -> sha256 of the block-erased bits, t = 0
     9: "a66be7a6bca855c7968a3baf1cffee424a4c64b26ac551f07ff8dfa281512551",
 }
 
+# natural_gray(131, 97) itself, halftoned: neither side is a multiple of the
+# dotdif class tile (8) or of either block size, so every kernel meets partial tiles
+RAGGED_HALFTONE_DIGESTS = {  # (algorithm, h) -> sha256 of the P4 bytes
+    ("dotdif", None): "3c89bf9161cc5e0a2bcf5c32cce30beba70931cc12048e9c4ce432734ec7ccdc",
+    ("blockd", 3): "e685578f4495e9d73b7ffa9f1ac2c087dfb5317713e6e104aecb504ac4f6cae5",
+    ("blockd", 19): "ff212cc6f7392d00149a28190091664a0a8d33f825be9f97ac4a183ea80f2267",
+}
+
 RAGGED_HISTOGRAM_DIGESTS = {  # block size -> sha256 of the 16-bin block histogram
     7: "62ec6fa2d2baed94ab619edc014c975248c978161fa0695bf2d98c3bb0df7991",
     8: "a40c57498967976b352b6acc9d6e792d2782e20a9a867d7b1785e22b0c7733d8",
@@ -152,6 +160,13 @@ def test_halftone_bytes(tmp_path, scene, algo, magic):
 @pytest.fixture(scope="module")
 def ragged():
     return halftone(natural_gray(131, 97), HalftoneSpec("fs"))
+
+
+@pytest.mark.parametrize("algo, h", RAGGED_HALFTONE_DIGESTS)
+def test_halftone_ragged_edges(tmp_path, algo, h):
+    path = tmp_path / "g.pbm"
+    write_binary(halftone(natural_gray(131, 97), HalftoneSpec(algo, h=h)), path)
+    assert sha256(path) == RAGGED_HALFTONE_DIGESTS[algo, h]
 
 
 @pytest.mark.parametrize("size", sorted(RAGGED_ERASE_DIGESTS))

@@ -19,6 +19,7 @@ from inkchannel.halftone import (
     halftone_threshold,
 )
 
+import halftone_oracle
 from conftest import constant_gray
 
 
@@ -246,6 +247,32 @@ def test_blockd_edge_tiles_keep_true_size():
     img = constant_gray(0, 5, 5)
     out = halftone_block_d(img, h=3)
     assert out.bits.all()
+
+
+# shapes the tiling treats specially: one row or column, under one 8x8 class
+# tile, whole tiles, and ragged tiles on both axes
+EDGE_SHAPES = [(1, 1), (1, 2), (2, 1), (1, 40), (40, 1), (1, 9), (9, 1), (3, 5), (7, 7), (8, 8), (16, 24), (9, 17)]
+
+
+# pixel values to draw from, None for all of 0-255: 127 and 128 sit beside the
+# 0.5 quantizer tie and give blockd tiles of equal pixels; darkness in steps of
+# 0.2 lets diffused error land on exactly 0.5 (about one image in six)
+PALETTES = {"uniform": None, "ties": [0, 127, 128, 255], "fifths": [0, 51, 102, 153, 204, 255]}
+
+
+@pytest.mark.parametrize("palette", sorted(PALETTES))
+def test_vector_kernels_match_scalar_oracle(palette):
+    """dotdif and blockd bit for bit against the scalar loops on 100 shapes of
+    1-40 px a side, blockd h from 1 to past the image size."""
+    rng = np.random.Generator(np.random.PCG64(sorted(PALETTES).index(palette)))
+    shapes = EDGE_SHAPES + [tuple(rng.integers(1, 41, size=2)) for _ in range(100 - len(EDGE_SHAPES))]
+    for height, width in shapes:
+        values = PALETTES[palette]
+        pixels = rng.integers(0, 256, size=(height, width)) if values is None else rng.choice(values, size=(height, width))
+        img = GrayImage(pixels.astype(np.uint8))
+        assert np.array_equal(halftone_dot_diffusion(img).bits, halftone_oracle.dot_diffusion(img)), (height, width)
+        for h in (int(rng.integers(1, 9)), int(rng.integers(1, max(height, width) + 5))):
+            assert np.array_equal(halftone_block_d(img, h).bits, halftone_oracle.block_d(img, h)), (height, width, h)
 
 
 # ---------------------------------------------------------------------------

@@ -417,6 +417,21 @@ def test_corpus_average_stderr():
     assert row.n == 4
 
 
+def test_integer_and_float_t_give_the_same_outputs(tmp_path):
+    """Records built with t=0 and t=0.0 are one group whatever their order:
+    the same rows, aggregates CSV bytes and difference_surface message."""
+    zeros = [rec(t=0, image="a.pgm", q=0.1), rec(t=0.0, image="b.pgm", q=0.3)]
+    blockd = [rec(algo="blockd", t=t, h=5) for t in (0.2, 0.3)]
+    outputs = []
+    for i, records in enumerate((zeros, zeros[::-1])):
+        write_aggregates_csv(corpus_average(records), tmp_path / f"agg{i}.csv")
+        with pytest.raises(ValueError, match="t grids differ") as err:
+            difference_surface(records, blockd)
+        outputs.append((corpus_average(records), (tmp_path / f"agg{i}.csv").read_bytes(), str(err.value)))
+    assert outputs[0] == outputs[1]
+    assert repr(outputs[0][0][0].t) == "0.0"
+
+
 def test_records_csv_round_trip(tmp_path):
     records = [
         rec(algo="fs", image="x.pgm", t=0.1, rep=1, q=0.25, seed=12345),
