@@ -34,9 +34,10 @@ __all__ = [
     "derive_seed",
 ]
 
-CHANNEL_KINDS = ("bitflip", "erase", "block-erase")
 _GATES = {"not": np.bitwise_xor, "set1": np.bitwise_or}  # gate op -> its ufunc on (target, control)
 GATE_OPS = tuple(_GATES)
+_KIND_GATES = {"bitflip": "not", "erase": "set1", "block-erase": "set1"}  # channel kind -> its gate op
+CHANNEL_KINDS = tuple(_KIND_GATES)
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -123,6 +124,12 @@ def noise_density(power: NoisePower) -> float:
     return min(1.0, math.ceil(power.t * 256) / 256.0)
 
 
+def _noise_bits(shape: tuple[int, int], t: float, seed: int) -> np.ndarray:
+    """The noise field as a uint8 array: 1 where an 8-bit uniform draw r < t*256."""
+    r = np.random.Generator(np.random.PCG64(seed)).integers(0, 256, size=shape, dtype=np.uint8)
+    return (r < t * 256).view(np.uint8)
+
+
 def gen_noise(width: int, height: int, power: NoisePower, seed: int) -> BinaryImage:
     """Threshold an 8-bit uniform random matrix: v = 1 where r < t*256.
 
@@ -131,9 +138,7 @@ def gen_noise(width: int, height: int, power: NoisePower, seed: int) -> BinaryIm
     """
     if _check_int(width, "width") < 1 or _check_int(height, "height") < 1:
         raise ValueError(f"noise field dimensions must be >= 1, got {width}x{height}")
-    rng = np.random.Generator(np.random.PCG64(_check_seed(seed)))
-    r = rng.integers(0, 256, size=(height, width), dtype=np.uint8)
-    return BinaryImage(r < power.t * 256)
+    return BinaryImage(_noise_bits((height, width), power.t, _check_seed(seed)))
 
 
 def apply_gate(control: BinaryImage, target: BinaryImage, op: str) -> BinaryImage:
@@ -152,16 +157,25 @@ def apply_gate(control: BinaryImage, target: BinaryImage, op: str) -> BinaryImag
     return BinaryImage(_GATES[op](target.bits, control.bits))
 
 
+def _channel_bits(g: np.ndarray, v: np.ndarray, kind: str, block: int | None = None) -> np.ndarray:
+    """Halftone bits ``g`` after channel ``kind`` with noise field ``v``; the array core of transmit."""
+    if block is not None:  # the erase gate under a mask that spreads each tile's center bit over its tile
+        c = (block - 1) // 2
+        centres = g[c::block, c::block]  # only the tiles that contain their center
+        padded = np.zeros((-(-g.shape[0] // block), -(-g.shape[1] // block)), dtype=np.uint8)
+        padded[: centres.shape[0], : centres.shape[1]] = centres
+        v = v & padded.repeat(block, axis=0).repeat(block, axis=1)[: g.shape[0], : g.shape[1]]
+    return _GATES[_KIND_GATES[kind]](g, v)
+
+
 def transmit_bitflip(g: BinaryImage, power: NoisePower, seed: int) -> BinaryImage:
     """Flip each bit where the noise field is 1 (0->1, 1->0)."""
-    v = gen_noise(g.width, g.height, power, seed)
-    return apply_gate(v, g, "not")
+    return BinaryImage(_channel_bits(g.bits, gen_noise(g.width, g.height, power, seed).bits, "bitflip"))
 
 
 def transmit_erase(g: BinaryImage, power: NoisePower, seed: int) -> BinaryImage:
     """Erase toward ink: g' = v OR g; existing dots are always preserved."""
-    v = gen_noise(g.width, g.height, power, seed)
-    return apply_gate(v, g, "set1")
+    return BinaryImage(_channel_bits(g.bits, gen_noise(g.width, g.height, power, seed).bits, "erase"))
 
 
 def transmit_block_erase(g: BinaryImage, power: NoisePower, block: BlockSpec, seed: int) -> BinaryImage:
@@ -170,16 +184,10 @@ def transmit_block_erase(g: BinaryImage, power: NoisePower, block: BlockSpec, se
     The image is tiled into non-overlapping size x size blocks with the center
     at offset ((size-1)/2, (size-1)/2).  A tile whose center bit is 1 becomes
     v OR g; tiles with center 0, and edge tiles too small to contain a center,
-    pass through unchanged.  This is the erase gate with control v AND a mask
-    that spreads each tile's center bit over its tile.
+    pass through unchanged.
     """
-    v = gen_noise(g.width, g.height, power, seed)
-    size, c = block.size, (block.size - 1) // 2
-    centres = g.bits[c::size, c::size]  # only the tiles that contain their center
-    padded = np.zeros((-(-g.height // size), -(-g.width // size)), dtype=np.uint8)
-    padded[: centres.shape[0], : centres.shape[1]] = centres
-    mask = padded.repeat(size, axis=0).repeat(size, axis=1)[: g.height, : g.width]
-    return apply_gate(BinaryImage(v.bits & mask), g, "set1")
+    v = gen_noise(g.width, g.height, power, seed).bits
+    return BinaryImage(_channel_bits(g.bits, v, "block-erase", block.size))
 
 
 def transmit(g: BinaryImage, cfg: ChannelConfig) -> BinaryImage:

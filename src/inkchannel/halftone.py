@@ -142,8 +142,8 @@ class HalftoneSpec:
         return default if value is None else value
 
 
-def _darkness(img: GrayImage) -> np.ndarray:
-    return (255.0 - img.pixels) / 255.0
+def _darkness(pixels: np.ndarray) -> np.ndarray:
+    return (255.0 - pixels) / 255.0
 
 
 def halftone(img: GrayImage, spec: HalftoneSpec) -> BinaryImage:
@@ -162,7 +162,7 @@ def halftone_random(img: GrayImage, seed: int) -> BinaryImage:
     """Per-pixel coin: ink where a uniform [0,1) draw falls below darkness."""
     rng = np.random.Generator(np.random.PCG64(_check_seed(seed)))
     u = rng.random(img.pixels.shape)
-    return BinaryImage(u < _darkness(img))
+    return BinaryImage(u < _darkness(img.pixels))
 
 
 def halftone_floyd_steinberg(img: GrayImage) -> BinaryImage:
@@ -172,7 +172,7 @@ def halftone_floyd_steinberg(img: GrayImage) -> BinaryImage:
     darkness >= 0.5; error diffused past the border is dropped.
     """
     h, w = img.height, img.width
-    buf = _darkness(img).tolist()
+    buf = _darkness(img.pixels).tolist()
     out = []
     for y in range(h):
         row = buf[y]
@@ -204,7 +204,7 @@ def _screen_halftone(img: GrayImage, screen: np.ndarray) -> BinaryImage:
     thresholds = (screen + 0.5) / (order * order)
     reps = (-(-img.height // order), -(-img.width // order))
     tiled = np.tile(thresholds, reps)[: img.height, : img.width]
-    return BinaryImage(_darkness(img) > tiled)
+    return BinaryImage(_darkness(img.pixels) > tiled)
 
 
 def halftone_bayer(img: GrayImage, order: int) -> BinaryImage:
@@ -231,7 +231,7 @@ def halftone_dot_diffusion(img: GrayImage) -> BinaryImage:
     class order, as a pixel-at-a-time loop would.
     """
     h, w = img.height, img.width
-    buf = np.pad(_darkness(img), 1)  # the border soaks up error sent past the edge
+    buf = np.pad(_darkness(img.pixels), 1)  # the border soaks up error sent past the edge
     classes = np.tile(_CLASS_8, (-(-h // 8), -(-w // 8)))[:h, :w]
     padded = np.pad(classes, 1, constant_values=-1)
     total = sum(wgt * (padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w] > classes) for dy, dx, wgt in _DD_NEIGHBORS)
@@ -249,18 +249,21 @@ def halftone_dot_diffusion(img: GrayImage) -> BinaryImage:
     return BinaryImage(out)
 
 
-def _block_dots(dark: np.ndarray, th: int, tw: int) -> np.ndarray:
+def _block_dots(light: np.ndarray, th: int, tw: int) -> np.ndarray:
     """blockd's dots for a region cut into whole th x tw tiles, all tiles at once.
 
     Each tile becomes a contiguous row, so a row sum runs the same pairwise
-    summation as the sum of the ravelled tile, and a stable row sort keeps
-    row-major tie order."""
-    ny, nx = dark.shape[0] // th, dark.shape[1] // tw
-    tiles = dark.reshape(ny, th, nx, tw).swapaxes(1, 2).reshape(ny * nx, th * tw)
-    k = (tiles.sum(axis=1) + 0.5).astype(np.int64)  # round half up: 0.5 darkness -> ink
-    dots = np.empty(tiles.shape, dtype=np.uint8)
-    np.put_along_axis(dots, np.argsort(-tiles, axis=1, kind="stable"), np.arange(th * tw) < k[:, None], axis=1)
-    return dots.reshape(ny, nx, th, tw).swapaxes(1, 2).reshape(dark.shape)
+    summation as the sum of the ravelled tile.  Darkness falls as lightness
+    rises, so the key lightness * area + position orders a row darkest first,
+    ties in row-major order; the k smallest keys are the dots."""
+    ny, nx, m = light.shape[0] // th, light.shape[1] // tw, th * tw
+    tiles = light.reshape(ny, th, nx, tw).swapaxes(1, 2).reshape(ny * nx, m)
+    k = (_darkness(tiles).sum(axis=1) + 0.5).astype(np.int64)  # round half up: 0.5 darkness -> ink
+    dtype = np.int32 if m < 1 << 23 else np.int64  # keys stay below 256 * m
+    keys = tiles.astype(dtype) * m + np.arange(m, dtype=dtype)
+    kth = np.sort(keys, axis=1)[np.arange(ny * nx), np.maximum(k - 1, 0)]
+    dots = (keys <= kth[:, None]) & (k > 0)[:, None]
+    return dots.view(np.uint8).reshape(ny, nx, th, tw).swapaxes(1, 2).reshape(light.shape)
 
 
 def halftone_block_d(img: GrayImage, h: int) -> BinaryImage:
@@ -270,13 +273,12 @@ def halftone_block_d(img: GrayImage, h: int) -> BinaryImage:
     Edge tiles keep their true size.  h = 1 reduces to per-pixel rounding.
     """
     HalftoneSpec("blockd", h=h)
-    dark = _darkness(img)
-    out = np.empty(dark.shape, dtype=np.uint8)
+    out = np.empty(img.pixels.shape, dtype=np.uint8)
     body_y, body_x = img.height - img.height % h, img.width - img.width % h
     # body, right column, bottom row and corner: each a grid of equal-size tiles
     for ys in (slice(0, body_y), slice(body_y, img.height)):
         for xs in (slice(0, body_x), slice(body_x, img.width)):
-            region = dark[ys, xs]
+            region = img.pixels[ys, xs]
             if region.size:
                 out[ys, xs] = _block_dots(region, min(h, region.shape[0]), min(h, region.shape[1]))
     return BinaryImage(out)

@@ -241,10 +241,28 @@ def write_binary(img: BinaryImage, path, *, ascii_format: bool = False) -> None:
 # histograms
 # ---------------------------------------------------------------------------
 
+def _binary_bins(bits: np.ndarray) -> np.ndarray:
+    """[p(bit=0), p(bit=1)]; complement construction sums to 1 exactly."""
+    p1 = np.count_nonzero(bits) / bits.size
+    return np.array([1.0 - p1, p1])
+
+
+def _block_bins(bits: np.ndarray, block: int, bins: int) -> np.ndarray:
+    """Per-tile mean ink density binned uniformly over [0, 1], as a probability vector."""
+    height, width = bits.shape
+    if block > width and block > height:
+        raise ValueError(f"block {block} larger than both image dimensions {width}x{height}")
+    ys, xs = np.arange(0, height, block), np.arange(0, width, block)
+    ink = np.add.reduceat(np.add.reduceat(bits, ys, axis=0, dtype=np.int64), xs, axis=1, dtype=np.int64)
+    area = np.outer(np.diff(ys, append=height), np.diff(xs, append=width))
+    idx = np.minimum((ink / area * bins).astype(np.int64), bins - 1)
+    counts = np.bincount(idx.ravel(), minlength=bins).astype(np.float64)
+    return counts / counts.sum()
+
+
 def binary_histogram(img: BinaryImage) -> Histogram:
-    """Two-bin histogram [p(bit=0), p(bit=1)]; complement construction sums to 1 exactly."""
-    p1 = img.ink_fraction()
-    return Histogram(np.array([1.0 - p1, p1]))
+    """Two-bin histogram [p(bit=0), p(bit=1)]."""
+    return Histogram(_binary_bins(img.bits))
 
 
 def block_lightness_histogram(img: BinaryImage, block: int, bins: int) -> Histogram:
@@ -257,11 +275,4 @@ def block_lightness_histogram(img: BinaryImage, block: int, bins: int) -> Histog
         raise ValueError("block size must be >= 1")
     if bins < 2:
         raise ValueError("bin count must be >= 2")
-    if block > img.width and block > img.height:
-        raise ValueError(f"block {block} larger than both image dimensions {img.width}x{img.height}")
-    ys, xs = np.arange(0, img.height, block), np.arange(0, img.width, block)
-    ink = np.add.reduceat(np.add.reduceat(img.bits, ys, axis=0, dtype=np.int64), xs, axis=1, dtype=np.int64)
-    area = np.outer(np.diff(ys, append=img.height), np.diff(xs, append=img.width))
-    idx = np.minimum((ink / area * bins).astype(np.int64), bins - 1)
-    counts = np.bincount(idx.ravel(), minlength=bins).astype(np.float64)
-    return Histogram(counts / counts.sum())
+    return Histogram(_block_bins(img.bits, block, bins))

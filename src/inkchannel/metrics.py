@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import NoisePower, _check_int, derive_seed, gen_noise
-from .imagery import BinaryImage, GrayImage, Histogram, binary_histogram, block_lightness_histogram
+from .imagery import BinaryImage, GrayImage, Histogram, _binary_bins, _block_bins
 
 __all__ = [
     "HISTOGRAM_MODES",
@@ -57,10 +57,13 @@ class HistogramSpec:
             raise ValueError(f"additive constant must be > 0 and finite, got {self.smoothing}")
 
 
+def _histogram_bins(bits: np.ndarray, spec: HistogramSpec) -> np.ndarray:
+    """The probability vector of a bit array's histogram, built per ``spec``."""
+    return _binary_bins(bits) if spec.mode == "binary" else _block_bins(bits, spec.block, spec.bins)
+
+
 def build_histogram(img: BinaryImage, spec: HistogramSpec) -> Histogram:
-    if spec.mode == "binary":
-        return binary_histogram(img)
-    return block_lightness_histogram(img, spec.block, spec.bins)
+    return Histogram(_histogram_bins(img.bits, spec))
 
 
 def euclidean_distance(a, b) -> float:
@@ -69,21 +72,13 @@ def euclidean_distance(a, b) -> float:
     For binary images this is sqrt(fraction of differing pixels).  Both
     arguments must be the same kind and the same size.
     """
-    for kind in (BinaryImage, GrayImage):
-        if isinstance(a, kind) and isinstance(b, kind):
-            break
-    else:
+    if type(a) is not type(b) or type(a) not in (BinaryImage, GrayImage):
         raise ValueError(f"images must be the same kind, got {type(a).__name__} and {type(b).__name__}")
-    pa = a.bits if isinstance(a, BinaryImage) else a.pixels
-    pb = b.bits if isinstance(b, BinaryImage) else b.pixels
+    pa, pb = (x.bits if isinstance(x, BinaryImage) else x.pixels for x in (a, b))
     if pa.shape != pb.shape:
         raise ValueError(f"dimension mismatch: {a.width}x{a.height} vs {b.width}x{b.height}")
     diff = pa.astype(np.float64) - pb.astype(np.float64)
     return math.sqrt(float(np.mean(diff * diff)))
-
-
-def _smooth(bins: np.ndarray, lam: float) -> np.ndarray:
-    return (bins + lam) / (1.0 + lam * bins.size)
 
 
 def relative_entropy(p: Histogram, q: Histogram, smoothing: float | None = None) -> float:
@@ -95,15 +90,19 @@ def relative_entropy(p: Histogram, q: Histogram, smoothing: float | None = None)
     """
     if p.bin_count != q.bin_count:
         raise ValueError(f"bin-count mismatch: {p.bin_count} vs {q.bin_count}")
+    HistogramSpec(smoothing=smoothing)
+    return _kl(p.bins, q.bins, smoothing)
+
+
+def _kl(p: np.ndarray, q: np.ndarray, smoothing: float | None) -> float:
+    """relative_entropy on plain probability vectors of one length."""
     if smoothing is not None:
-        HistogramSpec(smoothing=smoothing)
-        pa, qb = _smooth(p.bins, smoothing), _smooth(q.bins, smoothing)
-    else:
-        pa, qb = p.bins, q.bins
-    support = pa > 0
-    if (qb[support] == 0).any():
+        p, q = ((v + smoothing) / (1.0 + smoothing * v.size) for v in (p, q))
+    support = p > 0
+    p, q = p[support], q[support]
+    if (q == 0).any():
         return math.inf
-    terms = pa[support] * (np.log2(pa[support]) - np.log2(qb[support]))
+    terms = p * (np.log2(p) - np.log2(q))
     total = float(terms.sum())
     # Gibbs guarantees >= 0; clip float-rounding dust just below zero
     return 0.0 if -1e-15 < total < 0.0 else total
@@ -144,10 +143,8 @@ def noise_entropy_curve(
     rows = []
     for ti, t in enumerate(t_grid):
         power = t if isinstance(t, NoisePower) else NoisePower(float(t))
-        values = np.empty(reps, dtype=np.float64)
-        for rep in range(reps):
-            field = gen_noise(width, height, power, derive_seed(seed, ti * reps + rep))
-            values[rep] = binary_entropy(field)
+        seeds = (derive_seed(seed, ti * reps + rep) for rep in range(reps))
+        values = np.array([binary_entropy(gen_noise(width, height, power, s)) for s in seeds])
         std = float(values.std(ddof=1)) if reps > 1 else 0.0
         rows.append((power.t, float(values.mean()), std))
     return rows

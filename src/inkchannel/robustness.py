@@ -18,11 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from .channel import (
-    BlockSpec, ChannelConfig, NoisePower, _check_int, _check_kind, _check_seed, _known_kind, derive_seed, transmit
+    BlockSpec, NoisePower, _channel_bits, _check_int, _check_kind, _check_seed, _known_kind, _noise_bits, derive_seed
 )
 from .halftone import HalftoneSpec, halftone
 from .imagery import read_gray
-from .metrics import HistogramSpec, euclidean_distance, image_relative_entropy
+from .metrics import HistogramSpec, _histogram_bins, _kl
 
 __all__ = [
     "SweepSpec",
@@ -67,7 +67,7 @@ class SweepSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
-        object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
+        object.__setattr__(self, "t_grid", tuple(NoisePower(float(t) + 0.0).t for t in self.t_grid))  # -0.0 -> 0.0
         object.__setattr__(self, "corpus", tuple(str(p) for p in self.corpus))
         if not self.algorithms:
             raise ValueError("sweep needs at least one algorithm")
@@ -76,8 +76,6 @@ class SweepSpec:
         _check_kind(self.channel_kind, self.block)
         if not self.t_grid:
             raise ValueError("sweep needs a non-empty t grid")
-        for t in self.t_grid:
-            NoisePower(t)  # range check
         if _check_int(self.reps, "reps") < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
         _check_seed(self.master_seed)
@@ -116,8 +114,7 @@ class RobustnessRecord:
 
     def __post_init__(self):
         _known_kind(self.noise_kind)
-        NoisePower(self.t)
-        object.__setattr__(self, "t", float(self.t))  # t=0 and t=0.0 group and print alike
+        object.__setattr__(self, "t", float(NoisePower(self.t).t) + 0.0)  # t=0, 0.0 and -0.0 group and print alike
         if self.h is not None:  # a blockd record may leave h empty
             if self.algo != "blockd":
                 raise ValueError(f"h is recorded for blockd only, got h={self.h!r} for {self.algo!r}")
@@ -156,42 +153,33 @@ class AggregateRow:
 
 
 def _run_task(spec: SweepSpec, algo_idx: int, img_idx: int) -> list[RobustnessRecord]:
-    """All (t, rep) cells for one (algorithm, image); the halftone is computed once."""
+    """All (t, rep) cells for one (algorithm, image); the halftone is computed once.
+
+    The spec was checked when built, so cells run on plain uint8 arrays.  A 0/1
+    sum is an exact integer: count / n equals the mean ink_fraction and
+    euclidean_distance take."""
     alg = spec.algorithms[algo_idx]
     path = spec.corpus[img_idx]
     label, h = _family(alg)
     cell = f"algorithm {label!r}, image {path!r}"
     try:
-        g = halftone(read_gray(path), alg)
+        g = halftone(read_gray(path), alg).bits
     except Exception as exc:
         raise SweepError(f"sweep aborted at {cell}: {exc}") from exc
-    f_in = g.ink_fraction()
-    image_id = Path(path).name
-    n_t, reps = len(spec.t_grid), spec.reps
-    n_img = len(spec.corpus)
+    n, f_in, p = g.size, np.count_nonzero(g) / g.size, None
+    kind, hist, block = spec.channel_kind, spec.histogram, spec.block and spec.block.size
+    image_id, n_img, n_t, reps = Path(path).name, len(spec.corpus), len(spec.t_grid), spec.reps
     records = []
     for ti, t in enumerate(spec.t_grid):
         for rep in range(reps):
             index = ((algo_idx * n_img + img_idx) * n_t + ti) * reps + rep
             seed = derive_seed(spec.master_seed, index)
             try:
-                cfg = ChannelConfig(kind=spec.channel_kind, power=NoisePower(t), seed=seed, block=spec.block)
-                gp = transmit(g, cfg)
-                records.append(
-                    RobustnessRecord(
-                        algo=label,
-                        image=image_id,
-                        noise_kind=spec.channel_kind,
-                        t=t,
-                        h=h,
-                        rep=rep,
-                        seed=seed,
-                        q_bits=image_relative_entropy(g, gp, spec.histogram),
-                        e_dist=euclidean_distance(g, gp),
-                        f_in=f_in,
-                        f_out=gp.ink_fraction(),
-                    )
-                )
+                gp = _channel_bits(g, _noise_bits(g.shape, t, seed), kind, block)
+                p = _histogram_bins(g, hist) if p is None else p  # a misfit histogram fails in the first cell
+                q = _kl(p, _histogram_bins(gp, hist), hist.smoothing)
+                e = math.sqrt(np.count_nonzero(gp != g) / n)
+                records.append(RobustnessRecord(label, image_id, kind, t, h, rep, seed, q, e, f_in, np.count_nonzero(gp) / n))
             except Exception as exc:
                 raise SweepError(f"sweep aborted at {cell}, t={t!r}, rep={rep}, seed={seed}: {exc}") from exc
     return records
@@ -295,16 +283,8 @@ def compare(records_k, records_t) -> list[ComparisonVerdict]:
     verdicts = []
     for row_k, row_t in zip(rows_k, rows_t):  # one row per t on each side, both sorted by t
         mean_k, mean_t = row_k.mean_q, row_t.mean_q
-        if math.isinf(mean_k) and math.isinf(mean_t):
-            diff, verdict = 0.0, "TIE"
-        else:
-            diff = mean_k - mean_t
-            if abs(diff) <= DEFAULT_TIE_TOLERANCE:
-                verdict = "TIE"
-            elif diff < 0:
-                verdict = "K_MORE_ROBUST"
-            else:
-                verdict = "T_MORE_ROBUST"
+        diff = 0.0 if math.isinf(mean_k) and math.isinf(mean_t) else mean_k - mean_t  # inf against inf ties
+        verdict = "TIE" if abs(diff) <= DEFAULT_TIE_TOLERANCE else "K_MORE_ROBUST" if diff < 0 else "T_MORE_ROBUST"
         verdicts.append(ComparisonVerdict(row_k.algo, row_t.algo, row_k.t, mean_k, mean_t, diff, verdict))
     return verdicts
 

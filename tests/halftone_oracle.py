@@ -14,7 +14,7 @@ def dot_diffusion(img) -> np.ndarray:
     """Pixels in ascending class order; each pushes its quantization error to
     the not-yet-processed 8-neighbors, weights normalized over that set."""
     h, w = img.height, img.width
-    buf = _darkness(img).tolist()
+    buf = _darkness(img.pixels).tolist()
     out = [[0] * w for _ in range(h)]
     cls = dot_diffusion_classes().tolist()
 
@@ -51,7 +51,7 @@ def dot_diffusion(img) -> np.ndarray:
 def block_d(img, h: int) -> np.ndarray:
     """Per h x h tile (edge tiles at their true size), round(sum of darkness)
     dots at the darkest positions, ties broken in row-major order."""
-    dark = _darkness(img)
+    dark = _darkness(img.pixels)
     out = np.zeros(dark.shape, dtype=np.uint8)
     for y0 in range(0, img.height, h):
         for x0 in range(0, img.width, h):

@@ -344,6 +344,25 @@ def test_sweep_reruns_are_byte_identical(capsys, tmp_path, corpus_dir):
     assert (tmp_path / "r1.agg.csv").read_bytes() == (tmp_path / "r2.agg.csv").read_bytes()
 
 
+def test_sweep_negative_zero_t_writes_zero(capsys, tmp_path, monkeypatch, corpus_dir):
+    """t_grid = -0 is the experiment of t_grid = 0: the same records, aggregates,
+    meta.json and stdout bytes, with no -0.0 anywhere."""
+    outputs = []
+    for name, grid in (("zero", "0, 0.2"), ("negative-zero", "-0, 0.2")):
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        write_config(run_dir / "sweep.cfg", corpus_dir)
+        cfg = (run_dir / "sweep.cfg").read_text().replace("t_grid = 0, 0.2", f"t_grid = {grid}")
+        (run_dir / "sweep.cfg").write_text(cfg)
+        monkeypatch.chdir(run_dir)
+        code, stdout, _ = run(capsys, "sweep", "--spec", "sweep.cfg", "--out", "records.csv")
+        assert code == 0
+        files = [(run_dir / f).read_bytes() for f in ("records.csv", "records.agg.csv", "records.meta.json")]
+        outputs.append((stdout.encode(), *files))
+    assert outputs[0] == outputs[1]
+    assert not any(b"-0.0" in out for out in outputs[1])
+
+
 def test_sweep_invalid_config_line_number(capsys, tmp_path, corpus_dir):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("algorithms = fs\nkind = bitflip\nwhat is this\n")

@@ -93,6 +93,35 @@ SWEEP_DIGESTS = {
     ),
 }
 
+# Unsmoothed sweeps at t = 0.5 and 1 (t*256 an integer), where q meets +inf:
+# (channel kind, histogram) -> (records CSV digest, aggregates CSV digest)
+BOUNDARY_SWEEP_DIGESTS = {
+    ("bitflip", "binary"): (
+        "557cca3904b99b076e30fc27d7966956602da05c77140990843de0210ab03678",
+        "5b0a88bbce70aa5be90d1df51598c0c6020a75afcb8dcbb1d570423cd92c1108",
+    ),
+    ("bitflip", "block:8x16"): (
+        "edeac801ebc4b57fb2e5cb0b9e34ba950e61d087448b409cde5d517dff9fa45b",
+        "8a9b51b813e2450024168c050173196775851bc76f332d9a31aed45c239da285",
+    ),
+    ("erase", "binary"): (
+        "bde97ce7b9e6588da03420cb3f3fa27879524b1e078ee12444eb5cad68af9cb7",
+        "d1939129fb246d60617737204b9ece86ff723ded446863f72e7a9f61f20a29d2",
+    ),
+    ("erase", "block:8x16"): (
+        "43eb76158d183baa49105e665c6ee4160cb073755397911122ef2c35a11a79bf",
+        "ff182bd0b23c5465177e5f225f40d374cb688539f0175ab7a9c9f0dd7ad74115",
+    ),
+    ("block-erase", "binary"): (
+        "c7a86d85c77349fe0dd2db4af5d3c564c366a8411168188f5cb64f5b2c54aa02",
+        "50c848494d7cd9fb0523715ca711c54f8bb0e3cd85248ce498b4b29164f9845a",
+    ),
+    ("block-erase", "block:8x16"): (
+        "9ad10a570699577639926ec912fc14fa1d283022f4b27b8c08a3f27b34b2b905",
+        "eb02c5a24494b1403b9691e8c518b657ecfb27084da1f67631593a284bf140da",
+    ),
+}
+
 # The FS halftone of natural_gray(131, 97) leaves ragged edge tiles for every
 # block size below: some edge tiles hold their centre pixel, some do not.
 RAGGED_ERASE_DIGESTS = {  # block size -> sha256 of the block-erased bits, t = 0.3, seed 5
@@ -130,6 +159,8 @@ META_DIGEST = "a067423609152f488a68cdf4cf138103e790b4bccb73dfdac53e79827e4434fc"
 HISTOGRAMS = {
     "binary": HistogramSpec(mode="binary", smoothing=1e-9),
     "block:8x16": HistogramSpec(mode="block", block=8, bins=16, smoothing=1e-9),
+    "binary, unsmoothed": HistogramSpec(mode="binary"),
+    "block:8x16, unsmoothed": HistogramSpec(mode="block", block=8, bins=16),
 }
 
 
@@ -181,11 +212,11 @@ def test_block_histogram_ragged_edges(ragged, block):
     assert hashlib.sha256(bins.tobytes()).hexdigest() == RAGGED_HISTOGRAM_DIGESTS[block]
 
 
-def golden_sweep(corpus_dir, kind="bitflip", hist="binary", algorithms=ALGORITHMS):
+def golden_sweep(corpus_dir, kind="bitflip", hist="binary", algorithms=ALGORITHMS, t_grid=(0.0, 0.3)):
     return run_sweep(SweepSpec(
         algorithms=algorithms,
         channel_kind=kind,
-        t_grid=(0.0, 0.3),
+        t_grid=t_grid,
         reps=2,
         histogram=HISTOGRAMS[hist],
         master_seed=11,
@@ -200,6 +231,14 @@ def test_sweep_csv_bytes(tmp_path, corpus_dir, kind, hist):
     write_records_csv(records, tmp_path / "records.csv")
     write_aggregates_csv(corpus_average(records), tmp_path / "agg.csv")
     assert (sha256(tmp_path / "records.csv"), sha256(tmp_path / "agg.csv")) == SWEEP_DIGESTS[kind, hist]
+
+
+@pytest.mark.parametrize("kind, hist", sorted(BOUNDARY_SWEEP_DIGESTS))
+def test_boundary_sweep_csv_bytes(tmp_path, corpus_dir, kind, hist):
+    records = golden_sweep(corpus_dir, kind, f"{hist}, unsmoothed", t_grid=(0.5, 1.0))
+    write_records_csv(records, tmp_path / "records.csv")
+    write_aggregates_csv(corpus_average(records), tmp_path / "agg.csv")
+    assert (sha256(tmp_path / "records.csv"), sha256(tmp_path / "agg.csv")) == BOUNDARY_SWEEP_DIGESTS[kind, hist]
 
 
 def test_screens_bytes(capsys):

@@ -24,6 +24,9 @@ from inkchannel import (
 from inkchannel import robustness
 from inkchannel.robustness import write_aggregates_csv
 
+import sweep_oracle
+from conftest import natural_gray
+
 
 def rec(algo="fs", image="a.pgm", t=0.1, h=None, rep=0, q=0.0, **kw):
     return RobustnessRecord(
@@ -189,6 +192,68 @@ def test_sweep_spec_rejects_axes_that_would_merge(corpus_dir, tmp_path):
         small_spec(corpus_dir, corpus=(str(path), str(twin)))
     small_spec(corpus_dir, algorithms=(HalftoneSpec("blockd", h=3), HalftoneSpec("blockd", h=5)))
     small_spec(corpus_dir, corpus=(str(path), f"{path.parent}/./{path.name}"))  # one image listed twice
+
+
+# ---------------------------------------------------------------------------
+# the array sweep core against the object-level cells it replaced
+# ---------------------------------------------------------------------------
+
+# corpus -> (width, height) of its images; 131 x 97 and 5 x 120 leave ragged
+# edge tiles, and a block of 99 or a histogram tile of 100 passes one side
+ORACLE_SHAPES = {"tiny": ((1, 1), (9, 1), (1, 9)), "ragged": ((131, 97), (5, 120))}
+ORACLE_HISTOGRAMS = {  # corpus -> histogram (mode, block, bins) that fit every image
+    "tiny": (("binary", None, None), ("block", 1, 2)),
+    "ragged": (("binary", None, None), ("block", 8, 16), ("block", 100, 5)),
+}
+ORACLE_CHANNELS = (("bitflip", None), ("erase", None), ("block-erase", 3), ("block-erase", 99))
+
+
+@pytest.fixture(scope="module")
+def oracle_corpora(tmp_path_factory):
+    """Uniform noise at the tiny shapes, natural_gray scenes at the ragged ones."""
+    root = tmp_path_factory.mktemp("oracle")
+    rng = np.random.default_rng(3)
+    corpora = {}
+    for name, shapes in ORACLE_SHAPES.items():
+        corpora[name] = tuple(str(root / f"{name}-{w}x{h}.pgm") for w, h in shapes)
+        for path, (w, h) in zip(corpora[name], shapes):
+            noise = GrayImage(rng.integers(0, 256, (h, w), dtype=np.uint8))
+            write_gray(noise if name == "tiny" else natural_gray(w, h), path)
+    return corpora
+
+
+def oracle_spec(corpus, kind, block, histogram, smoothing, t_grid=(0.0, 0.1, 0.3, 0.5, 1.0)):
+    mode, hist_block, bins = histogram
+    return SweepSpec(
+        algorithms=(HalftoneSpec("fs"), HalftoneSpec("blockd", h=3)),
+        channel_kind=kind,
+        t_grid=t_grid,
+        reps=2,
+        histogram=HistogramSpec(mode=mode, block=hist_block, bins=bins, smoothing=smoothing),
+        master_seed=5,
+        corpus=corpus,
+        block=None if block is None else BlockSpec(block),
+    )
+
+
+@pytest.mark.parametrize("smoothing", (None, 1e-9))
+@pytest.mark.parametrize("corpus, histogram", [(c, h) for c, hists in ORACLE_HISTOGRAMS.items() for h in hists])
+@pytest.mark.parametrize("kind, block", ORACLE_CHANNELS)
+def test_sweep_core_matches_object_oracle(oracle_corpora, kind, block, corpus, histogram, smoothing):
+    """Every record field of every cell is == the object-level path's, inf q included."""
+    spec = oracle_spec(oracle_corpora[corpus], kind, block, histogram, smoothing)
+    assert run_sweep(spec) == sweep_oracle.run_sweep(spec)
+
+
+def test_sweep_core_fails_where_the_oracle_fails(oracle_corpora):
+    """A histogram tile larger than a 1x1 image aborts in the same cell with the same message."""
+    spec = oracle_spec(oracle_corpora["tiny"], "erase", None, ("block", 8, 16), None, t_grid=(0.5,))
+    with pytest.raises(SweepError) as core:
+        run_sweep(spec)
+    with pytest.raises(SweepError) as oracle:
+        sweep_oracle.run_sweep(spec)
+    assert str(core.value) == str(oracle.value)
+    assert "t=0.5, rep=0" in str(core.value)
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +483,9 @@ def test_corpus_average_stderr():
 
 
 def test_integer_and_float_t_give_the_same_outputs(tmp_path):
-    """Records built with t=0 and t=0.0 are one group whatever their order:
-    the same rows, aggregates CSV bytes and difference_surface message."""
-    zeros = [rec(t=0, image="a.pgm", q=0.1), rec(t=0.0, image="b.pgm", q=0.3)]
+    """Records built with t=0, t=0.0 and t=-0.0 are one group whatever their
+    order: the same rows, aggregates CSV bytes and difference_surface message."""
+    zeros = [rec(t=0, image="a.pgm", q=0.1), rec(t=0.0, image="b.pgm", q=0.3), rec(t=-0.0, image="c.pgm", q=0.1)]
     blockd = [rec(algo="blockd", t=t, h=5) for t in (0.2, 0.3)]
     outputs = []
     for i, records in enumerate((zeros, zeros[::-1])):
