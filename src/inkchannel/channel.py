@@ -125,16 +125,18 @@ def noise_density(power: NoisePower) -> float:
 
 
 def _noise_bits(shape: tuple[int, int], t: float, seed: int) -> np.ndarray:
-    """The noise field as a uint8 array: 1 where an 8-bit uniform draw r < t*256."""
-    r = np.random.Generator(np.random.PCG64(seed)).integers(0, 256, size=shape, dtype=np.uint8)
-    return (r < t * 256).view(np.uint8)
+    """The noise field as a uint8 array: 1 where byte r of PCG64(seed)'s raw words, little-endian
+    and row-major, is below ceil(t*256); for an integer r that is r < t*256, and t = 1 inks all."""
+    n = shape[0] * shape[1]
+    r = np.random.PCG64(seed).random_raw(-(-n // 8)).astype("<u8", copy=False).view(np.uint8)[:n]
+    return (r.reshape(shape) < math.ceil(t * 256)).view(np.uint8)
 
 
 def gen_noise(width: int, height: int, power: NoisePower, seed: int) -> BinaryImage:
     """Threshold an 8-bit uniform random matrix: v = 1 where r < t*256.
 
-    Draws come from PCG64(seed) in row-major order; the field is fully
-    determined by (width, height, power, seed).
+    r is ``Generator(PCG64(seed)).integers(0, 256, (height, width), dtype=uint8)``, whose bytes are
+    the little-endian bytes of the raw words; (width, height, power, seed) fix the field.
     """
     if _check_int(width, "width") < 1 or _check_int(height, "height") < 1:
         raise ValueError(f"noise field dimensions must be >= 1, got {width}x{height}")

@@ -170,33 +170,27 @@ def halftone_floyd_steinberg(img: GrayImage) -> BinaryImage:
 
     Works in darkness space; the quantizer emits ink when error-adjusted
     darkness >= 0.5; error diffused past the border is dropped.
+
+    One numpy step per wave k = x + 2y.  Pixel (y, x) takes its SE, S, SW and
+    E shares in that order, from waves k-3, k-2, k-1 and k-1, so each step adds
+    SW before E.  On a flat buffer zero-padded to (h+1) x (w+2), which takes
+    the error sent past the border, a wave is a slice of stride w.
     """
     h, w = img.height, img.width
-    buf = _darkness(img.pixels).tolist()
-    out = []
-    for y in range(h):
-        row = buf[y]
-        nxt = buf[y + 1] if y + 1 < h else None
-        out_row = [0] * w
-        last = w - 1
-        for x in range(w):
-            d = row[x]
-            if d >= 0.5:
-                out_row[x] = 1
-                err = d - 1.0
-            else:
-                err = d
-            if err:
-                if x < last:
-                    row[x + 1] += err * 0.4375
-                if nxt is not None:
-                    if x > 0:
-                        nxt[x - 1] += err * 0.1875
-                    nxt[x] += err * 0.3125
-                    if x < last:
-                        nxt[x + 1] += err * 0.0625
-        out.append(out_row)
-    return BinaryImage(np.array(out, dtype=np.uint8))
+    buf = np.zeros((h + 1) * (w + 2))
+    buf.reshape(h + 1, w + 2)[:h, 1 : w + 1] = _darkness(img.pixels)
+    out = np.zeros(buf.size, dtype=np.uint8)
+    err, share = np.empty(min(h, w)), np.empty(min(h, w))  # no wave holds more pixels
+    targets = ((w + 1, 0.1875), (1, 0.4375), (w + 2, 0.3125), (w + 3, 0.0625))  # SW before E
+    for k in range(w + 2 * h - 2):
+        y_lo, y_hi = max(0, (k - w + 2) // 2), min(h - 1, k // 2)
+        start, stop, n = k + 1 + y_lo * w, k + 2 + y_hi * w, y_hi - y_lo + 1
+        d = buf[start:stop:w]
+        e = np.subtract(d, np.greater_equal(d, 0.5, out=out[start:stop:w]), out=err[:n])
+        for offset, weight in targets:
+            target = buf[start + offset : stop + offset : w]
+            np.add(target, np.multiply(e, weight, out=share[:n]), out=target)
+    return BinaryImage(out.reshape(h + 1, w + 2)[:h, 1 : w + 1])
 
 
 def _screen_halftone(img: GrayImage, screen: np.ndarray) -> BinaryImage:

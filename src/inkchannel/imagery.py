@@ -253,7 +253,11 @@ def _block_bins(bits: np.ndarray, block: int, bins: int) -> np.ndarray:
     if block > width and block > height:
         raise ValueError(f"block {block} larger than both image dimensions {width}x{height}")
     ys, xs = np.arange(0, height, block), np.arange(0, width, block)
-    ink = np.add.reduceat(np.add.reduceat(bits, ys, axis=0, dtype=np.int64), xs, axis=1, dtype=np.int64)
+    by, bx = min(block, height), min(block, width)  # a block past one side is one tile of that side
+    tiles = np.zeros((len(ys) * by, len(xs) * bx), dtype=np.uint8)
+    tiles[:height, :width] = bits
+    dtype = np.int32 if by * bx < 1 << 31 else np.int64  # holds any tile's ink count
+    ink = tiles.reshape(len(ys), by, len(xs), bx).sum(axis=1, dtype=dtype).sum(axis=-1, dtype=dtype)
     area = np.outer(np.diff(ys, append=height), np.diff(xs, append=width))
     idx = np.minimum((ink / area * bins).astype(np.int64), bins - 1)
     counts = np.bincount(idx.ravel(), minlength=bins).astype(np.float64)

@@ -1,4 +1,5 @@
-"""Scalar reference kernels for the vectorised dot diffusion and block halftoning.
+"""Scalar reference kernels for the vectorised Floyd-Steinberg, dot diffusion
+and block halftoning.
 
 These are the pixel- and tile-at-a-time loops the numpy kernels in
 `inkchannel.halftone` replaced; the differential tests hold the two to the
@@ -8,6 +9,37 @@ same output bits.  Each returns the uint8 bit array.
 import numpy as np
 
 from inkchannel.halftone import _DD_NEIGHBORS, _darkness, dot_diffusion_classes
+
+
+def floyd_steinberg(img) -> np.ndarray:
+    """Raster scan; each pixel sends 7/16 E, 3/16 SW, 5/16 S and 1/16 SE of its
+    quantization error, and error sent past the border is dropped."""
+    h, w = img.height, img.width
+    buf = _darkness(img.pixels).tolist()
+    out = []
+    for y in range(h):
+        row = buf[y]
+        nxt = buf[y + 1] if y + 1 < h else None
+        out_row = [0] * w
+        last = w - 1
+        for x in range(w):
+            d = row[x]
+            if d >= 0.5:
+                out_row[x] = 1
+                err = d - 1.0
+            else:
+                err = d
+            if err:
+                if x < last:
+                    row[x + 1] += err * 0.4375
+                if nxt is not None:
+                    if x > 0:
+                        nxt[x - 1] += err * 0.1875
+                    nxt[x] += err * 0.3125
+                    if x < last:
+                        nxt[x + 1] += err * 0.0625
+        out.append(out_row)
+    return np.array(out, dtype=np.uint8)
 
 
 def dot_diffusion(img) -> np.ndarray:

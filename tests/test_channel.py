@@ -20,6 +20,7 @@ from inkchannel import (
     transmit_block_erase,
     transmit_erase,
 )
+from inkchannel.channel import _noise_bits
 
 
 def binimg(rows):
@@ -89,6 +90,29 @@ def test_gen_noise_rejects_bad_dims():
     for width, height in ((8.0, 8), (8, 8.0)):
         with pytest.raises(ValueError, match="must be an integer"):
             gen_noise(width, height, NoisePower(0.5), 1)
+
+
+def generator_noise_bits(shape, t, seed):
+    """The noise field as numpy's uint8 integer draw makes it, thresholded in floats."""
+    r = np.random.Generator(np.random.PCG64(seed)).integers(0, 256, size=shape, dtype=np.uint8)
+    return (r < t * 256).view(np.uint8)
+
+
+def test_noise_bits_match_generator_integers():
+    """The raw-word draw against the Generator.integers byte stream on 240
+    shapes, most of them with a pixel count that is not a multiple of 8."""
+    rng = np.random.Generator(np.random.PCG64(2011))
+    shapes = [(1, 1), (1, 7), (7, 1), (3, 3), (1, 8), (8, 1), (2, 4), (9, 9), (17, 3), (131, 97)]
+    shapes += [tuple(int(n) for n in rng.integers(1, 70, size=2)) for _ in range(230)]
+    ragged = 0
+    for shape in shapes:
+        ragged += shape[0] * shape[1] % 8 != 0
+        seed = int(rng.integers(0, 2**64, dtype=np.uint64))
+        for t in (0.0, 1 / 256, 0.5, 255 / 256, 1.0, float(rng.random())):
+            got = _noise_bits(shape, t, seed)
+            assert got.dtype == np.uint8 and got.shape == shape
+            assert np.array_equal(got, generator_noise_bits(shape, t, seed)), (shape, t, seed)
+    assert ragged >= 150
 
 
 def test_noise_power_range():

@@ -19,6 +19,7 @@ from inkchannel import (
     block_lightness_histogram,
     corpus_average,
     difference_surface,
+    gen_noise,
     halftone,
     run_sweep,
     transmit_block_erase,
@@ -133,9 +134,24 @@ RAGGED_ERASE_DIGESTS = {  # block size -> sha256 of the block-erased bits, t = 0
 # natural_gray(131, 97) itself, halftoned: neither side is a multiple of the
 # dotdif class tile (8) or of either block size, so every kernel meets partial tiles
 RAGGED_HALFTONE_DIGESTS = {  # (algorithm, h) -> sha256 of the P4 bytes
+    ("fs", None): "2ba2033de5a521cf6c01fb85e29e924ebaa1ebb9d84e98c9dfc11bc10573a941",
     ("dotdif", None): "3c89bf9161cc5e0a2bcf5c32cce30beba70931cc12048e9c4ce432734ec7ccdc",
     ("blockd", 3): "e685578f4495e9d73b7ffa9f1ac2c087dfb5317713e6e104aecb504ac4f6cae5",
     ("blockd", 19): "ff212cc6f7392d00149a28190091664a0a8d33f825be9f97ac4a183ea80f2267",
+}
+
+# noise fields whose pixel count is not a multiple of 8, so the last 64-bit
+# PCG64 word is only partly used; seed 11
+NOISE_DIGESTS = {  # (width, height, t) -> sha256 of the P4 bytes
+    (1, 1, 0.1): "a8ed35a163cba662b15fe455af22d5f91668d6eb59ef9a2aa9e19e1658745819",
+    (1, 1, 0.5): "a293aabff7eae7f96579e5e6bec8665d16b608f2a66a4d7053f7d6b432224291",
+    (1, 1, 1.0): "a293aabff7eae7f96579e5e6bec8665d16b608f2a66a4d7053f7d6b432224291",
+    (7, 3, 0.1): "ba0af72fc28fd155ea61ab512819ed7aad303b241e13eac022e24c0a13e893f9",
+    (7, 3, 0.5): "9997d062d59bf11156442383d002d21b2642623ab0a1f6e233060f0708d4f2b5",
+    (7, 3, 1.0): "ffe3c8cb49e2c71cef4f10533f052b4f5edb9d996db101a24bfbc1f160683423",
+    (131, 97, 0.1): "03fb6d39b03e14d031b37a8e1dcff8122a2762538b3e766fb622f3ec9af65200",
+    (131, 97, 0.5): "0dd0add399e42533d44db4e7bd15ec02663d45c2ee1133199b13bf75bce6392e",
+    (131, 97, 1.0): "cfaa2c7a5949989585bebce07e4f91470a6d1c784b51ce513944a11d21a5e7bb",
 }
 
 RAGGED_HISTOGRAM_DIGESTS = {  # block size -> sha256 of the 16-bin block histogram
@@ -198,6 +214,13 @@ def test_halftone_ragged_edges(tmp_path, algo, h):
     path = tmp_path / "g.pbm"
     write_binary(halftone(natural_gray(131, 97), HalftoneSpec(algo, h=h)), path)
     assert sha256(path) == RAGGED_HALFTONE_DIGESTS[algo, h]
+
+
+@pytest.mark.parametrize("width, height, t", NOISE_DIGESTS)
+def test_noise_bytes(tmp_path, width, height, t):
+    path = tmp_path / "v.pbm"
+    write_binary(gen_noise(width, height, NoisePower(t), 11), path)
+    assert sha256(path) == NOISE_DIGESTS[width, height, t]
 
 
 @pytest.mark.parametrize("size", sorted(RAGGED_ERASE_DIGESTS))

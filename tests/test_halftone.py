@@ -262,17 +262,32 @@ PALETTES = {"uniform": None, "ties": [0, 127, 128, 255], "fifths": [0, 51, 102, 
 
 @pytest.mark.parametrize("palette", sorted(PALETTES))
 def test_vector_kernels_match_scalar_oracle(palette):
-    """dotdif and blockd bit for bit against the scalar loops on 100 shapes of
-    1-40 px a side, blockd h from 1 to past the image size."""
+    """fs, dotdif and blockd bit for bit against the scalar loops on 100 shapes
+    of 1-40 px a side, blockd h from 1 to past the image size."""
     rng = np.random.Generator(np.random.PCG64(sorted(PALETTES).index(palette)))
     shapes = EDGE_SHAPES + [tuple(rng.integers(1, 41, size=2)) for _ in range(100 - len(EDGE_SHAPES))]
     for height, width in shapes:
         values = PALETTES[palette]
         pixels = rng.integers(0, 256, size=(height, width)) if values is None else rng.choice(values, size=(height, width))
         img = GrayImage(pixels.astype(np.uint8))
+        assert np.array_equal(halftone_floyd_steinberg(img).bits, halftone_oracle.floyd_steinberg(img)), (height, width)
         assert np.array_equal(halftone_dot_diffusion(img).bits, halftone_oracle.dot_diffusion(img)), (height, width)
         for h in (int(rng.integers(1, 9)), int(rng.integers(1, max(height, width) + 5))):
             assert np.array_equal(halftone_block_d(img, h).bits, halftone_oracle.block_d(img, h)), (height, width, h)
+
+
+@pytest.mark.parametrize("rows, bits", [
+    ([[64, 68, 110], [228, 108, 192]], [[1, 1, 0], [0, 0, 1]]),
+    ([[112, 7, 51], [184, 100, 32], [154, 222, 4]], [[1, 1, 1], [0, 1, 1], [0, 0, 1]]),
+])
+def test_fs_adds_sw_share_before_e_share(rows, bits):
+    """Pixel (1, 1) gets its SW share from (0, 2) before its E share from
+    (1, 0); adding the two in the other order rounds differently and flips
+    a bit of each of these images (found by search; random images rarely
+    show it)."""
+    img = gray(rows)
+    assert halftone_oracle.floyd_steinberg(img).tolist() == bits
+    assert halftone_floyd_steinberg(img).bits.tolist() == bits
 
 
 # ---------------------------------------------------------------------------

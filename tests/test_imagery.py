@@ -18,6 +18,7 @@ from inkchannel import (
     write_binary,
     write_gray,
 )
+from inkchannel.imagery import _block_bins
 
 
 def gray(rows):
@@ -365,3 +366,32 @@ def test_block_histogram_parameter_validation():
         block_lightness_histogram(img, block=0, bins=4)
     with pytest.raises(ValueError):
         block_lightness_histogram(img, block=1, bins=1)
+
+
+def reduceat_block_bins(bits, block, bins):
+    """Per-tile ink counts from two int64 reduceat sums over the tile starts."""
+    height, width = bits.shape
+    ys, xs = np.arange(0, height, block), np.arange(0, width, block)
+    ink = np.add.reduceat(np.add.reduceat(bits, ys, axis=0, dtype=np.int64), xs, axis=1, dtype=np.int64)
+    area = np.outer(np.diff(ys, append=height), np.diff(xs, append=width))
+    idx = np.minimum((ink / area * bins).astype(np.int64), bins - 1)
+    counts = np.bincount(idx.ravel(), minlength=bins).astype(np.float64)
+    return counts / counts.sum()
+
+
+def test_block_bins_match_reduceat_sums():
+    """The reshaped tile sums against the reduceat form on 300 seeded
+    (shape, block, bins) cases: whole and ragged tiles, and blocks wider than
+    one side of the image."""
+    rng = np.random.Generator(np.random.PCG64(8))
+    cases = [((5, 120), 100, 16), ((120, 5), 100, 16), ((1, 9), 9, 3), ((9, 1), 4, 2), ((16, 16), 8, 16)]
+    for _ in range(295):
+        height, width = (int(n) for n in rng.integers(1, 70, size=2))
+        block = int(rng.integers(1, max(height, width) + 1))
+        cases.append(((height, width), block, int(rng.integers(2, 33))))
+    wider = 0
+    for shape, block, bins in cases:
+        wider += block > min(shape)
+        bits = (rng.random(shape) < rng.random()).astype(np.uint8)
+        assert np.array_equal(_block_bins(bits, block, bins), reduceat_block_bins(bits, block, bins)), (shape, block, bins)
+    assert wider >= 50
