@@ -10,6 +10,7 @@ from .imagery import (
     BinaryImage,
     GrayImage,
     Histogram,
+    HistogramSpec,
     NetpbmError,
     binary_histogram,
     block_lightness_histogram,
@@ -36,7 +37,6 @@ from .channel import (
     transmit_erase,
 )
 from .metrics import (
-    HistogramSpec,
     binary_entropy,
     build_histogram,
     euclidean_distance,

@@ -10,12 +10,11 @@ block erase (erase gated on the tile's center pixel).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .imagery import BinaryImage
+from .imagery import BinaryImage, _check_int, _check_seed
 
 __all__ = [
     "NoisePower",
@@ -43,22 +42,6 @@ _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 
 
-def _check_int(value, what: str) -> int:
-    """Return ``value`` as an int; floats, even 7.0, are rejected."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
-
-
-def _check_seed(seed: int) -> int:
-    """Return ``seed`` as an int in 0 .. 2**64 - 1."""
-    seed = _check_int(seed, "seed")
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return seed
-
-
 def derive_seed(master_seed: int, index: int) -> int:
     """Mix a master seed with a task index into an independent 64-bit seed.
 
@@ -80,6 +63,7 @@ class NoisePower:
     def __post_init__(self):
         if not 0.0 <= self.t <= 1.0:
             raise ValueError(f"noise power must lie in [0, 1], got {self.t}")
+        object.__setattr__(self, "t", float(self.t) + 0.0)  # a float, with 0 and -0.0 read as 0.0
 
 
 @dataclass(frozen=True)

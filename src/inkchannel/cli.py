@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import sys
+from contextlib import contextmanager
 from decimal import Decimal
 from pathlib import Path
 
@@ -39,6 +40,15 @@ def format_scalar(v: float) -> str:
 # shared flag parsing
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _named(where: str):
+    """Prefix a ValueError raised in the block with ``where``, the flag, file or token at fault."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def _parse_float_list(text: str, what: str) -> list[float]:
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -57,10 +67,8 @@ def _parse_hist(hist: str, lam: float | None) -> metrics.HistogramSpec:
             block, bins = (int(part) for part in hist[len("block:"):].split("x"))
         except ValueError:
             raise ValueError(f"--hist: bad block spec {hist!r} (want block:<size>x<bins>)") from None
-        try:
+        with _named("--hist"):
             return metrics.HistogramSpec(mode="block", block=block, bins=bins, smoothing=lam)
-        except ValueError as exc:
-            raise ValueError(f"--hist: {exc}") from None
     raise ValueError(f"--hist: unknown mode {hist!r} (want 'binary' or 'block:<size>x<bins>')")
 
 
@@ -72,10 +80,8 @@ def _parse_smoothing(text: str) -> float | None:
             lam = float(text[len("additive:"):])
         except ValueError:
             raise ValueError(f"--smoothing: bad constant in {text!r}") from None
-        try:
+        with _named("--smoothing"):
             return metrics.HistogramSpec(smoothing=lam).smoothing
-        except ValueError as exc:
-            raise ValueError(f"--smoothing: {exc}") from None
     raise ValueError(f"--smoothing: expected 'none' or 'additive:<lambda>', got {text!r}")
 
 
@@ -86,7 +92,7 @@ _ALGORITHM_PARAMS = {"h": ("h", int), "level": ("level", float), "seed": ("seed"
 def _parse_algorithm_token(token: str) -> HalftoneSpec:
     name, *params = token.split(":")
     kwargs: dict = {}
-    try:
+    with _named(f"algorithm {token!r}"):
         for part in params:
             key, eq, value = (s.strip() for s in part.partition("="))
             if not eq:
@@ -101,8 +107,6 @@ def _parse_algorithm_token(token: str) -> HalftoneSpec:
             except ValueError:
                 raise ValueError(f"bad value for {key!r}") from None
         return HalftoneSpec(algorithm=name.strip(), **kwargs)
-    except ValueError as exc:
-        raise ValueError(f"algorithm {token!r}: {exc}") from None
 
 
 def _load_binary(path: str, flag: str) -> imagery.BinaryImage:
@@ -163,7 +167,7 @@ def parse_sweep_config(path) -> robustness.SweepSpec:
         if not stripped:
             continue
         key, eq, value = (part.strip() for part in stripped.partition("="))
-        try:
+        with _named(f"{path}:{lineno}"):
             if not eq:
                 raise ValueError(f"expected 'key = value', got {line.strip()!r}")
             if key not in _SWEEP_KEYS:
@@ -174,17 +178,13 @@ def parse_sweep_config(path) -> robustness.SweepSpec:
             if not value:
                 raise ValueError(f"empty value for {key!r}")
             fields[field] = parse(value)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
     missing = [key for key in _REQUIRED_KEYS if _SWEEP_KEYS[key][0] not in fields]
     if missing:
         raise ValueError(f"{path}: missing required key {missing[0]!r}")
     smoothing = fields.pop("smoothing", DEFAULT_SWEEP_SMOOTHING)
     fields["histogram"] = dataclasses.replace(fields.get("histogram", metrics.HistogramSpec()), smoothing=smoothing)
-    try:
+    with _named(str(path)):
         return robustness.SweepSpec(**fields)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -217,18 +217,14 @@ def cmd_noise(args) -> int:
 
 
 def _noise_power(value: float) -> channel.NoisePower:
-    try:
+    with _named("--power"):
         return channel.NoisePower(value)
-    except ValueError as exc:
-        raise ValueError(f"--power: {exc}") from None
 
 
 def cmd_transmit(args) -> int:
-    try:
+    with _named("--block"):
         block = None if args.block is None else channel.BlockSpec(args.block)
         channel._check_kind(args.kind, block)
-    except ValueError as exc:
-        raise ValueError(f"--block: {exc}") from None
     power = _noise_power(args.power)
     cfg = channel.ChannelConfig(kind=args.kind, power=power, seed=args.seed, block=block)
     g = _load_binary(args.input, "--input")

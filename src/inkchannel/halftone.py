@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _check_int, _check_seed
-from .imagery import BinaryImage, GrayImage
+from .imagery import BinaryImage, GrayImage, _check_int, _check_seed
 
 __all__ = [
     "ALGORITHMS",

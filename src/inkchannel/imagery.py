@@ -1,4 +1,5 @@
-"""Core raster types, histograms, and bit-exact netpbm (PGM/PBM) file I/O.
+"""Core raster types, histograms and their spec, the shared integer and seed
+checks, and bit-exact netpbm (PGM/PBM) file I/O.
 
 Conventions used throughout the package:
   * grayscale lightness 0 = black, 255 = white
@@ -7,6 +8,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,6 +20,8 @@ __all__ = [
     "GrayImage",
     "BinaryImage",
     "Histogram",
+    "HISTOGRAM_MODES",
+    "HistogramSpec",
     "NetpbmError",
     "read_gray",
     "write_gray",
@@ -32,10 +37,44 @@ class NetpbmError(ValueError):
     """Raised for malformed, unsupported, or truncated PGM/PBM files."""
 
 
+def _check_int(value, what: str) -> int:
+    """Return ``value`` as an int; floats, even 7.0, are rejected."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _check_seed(seed: int) -> int:
+    """Return ``seed`` as an int in 0 .. 2**64 - 1."""
+    seed = _check_int(seed, "seed")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    return seed
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr)
     out.setflags(write=False)
     return out
+
+
+def _raster(values, kind: str, what: str, top: int) -> np.ndarray:
+    """A frozen uint8 copy of a 2-d, non-empty array of integers in 0..top.
+
+    A uint8 array needs no scan when top is 255; a bool array is a bit raster when top is 1.
+    """
+    arr = np.asarray(values)
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ValueError(f"{kind} image must be 2-d and non-empty, got shape {arr.shape}")
+    if arr.dtype == np.bool_ and top == 1:
+        arr = arr.view(np.uint8)
+    if arr.dtype != np.uint8 or top != 255:
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise ValueError(f"{kind} {what} must be integers, got dtype {arr.dtype}")
+        if arr.min() < 0 or arr.max() > top:
+            raise ValueError(f"{kind} {what} must lie in 0..{top}")
+    return _freeze(arr.astype(np.uint8))
 
 
 @dataclass(frozen=True)
@@ -45,16 +84,7 @@ class GrayImage:
     pixels: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.pixels)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"gray image must be 2-d and non-empty, got shape {arr.shape}")
-        if arr.dtype != np.uint8:
-            if not np.issubdtype(arr.dtype, np.integer):
-                raise ValueError(f"gray pixels must be integers, got dtype {arr.dtype}")
-            if arr.min() < 0 or arr.max() > 255:
-                raise ValueError("gray pixel values must lie in 0..255")
-            arr = arr.astype(np.uint8)
-        object.__setattr__(self, "pixels", _freeze(arr.copy()))
+        object.__setattr__(self, "pixels", _raster(self.pixels, "gray", "pixels", 255))
 
     @property
     def width(self) -> int:
@@ -72,16 +102,7 @@ class BinaryImage:
     bits: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.bits)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"binary image must be 2-d and non-empty, got shape {arr.shape}")
-        if arr.dtype == np.bool_:
-            arr = arr.astype(np.uint8)
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise ValueError(f"binary bits must be integers, got dtype {arr.dtype}")
-        if arr.min() < 0 or arr.max() > 1:
-            raise ValueError("binary bits must be 0 or 1")
-        object.__setattr__(self, "bits", _freeze(arr.astype(np.uint8)))
+        object.__setattr__(self, "bits", _raster(self.bits, "binary", "bits", 1))
 
     @property
     def width(self) -> int:
@@ -93,7 +114,7 @@ class BinaryImage:
 
     def ink_fraction(self) -> float:
         """Fraction of 1-bits (printed dots)."""
-        return float(self.bits.mean())
+        return np.count_nonzero(self.bits) / self.bits.size
 
 
 @dataclass(frozen=True)
@@ -116,6 +137,36 @@ class Histogram:
     @property
     def bin_count(self) -> int:
         return self.bins.size
+
+
+HISTOGRAM_MODES = ("binary", "block")
+
+
+@dataclass(frozen=True)
+class HistogramSpec:
+    """How image histograms are built for divergence measurements.
+
+    ``smoothing`` is None for no smoothing or a finite positive additive constant
+    applied to every bin before renormalization.
+    """
+
+    mode: str = "binary"
+    block: int | None = None
+    bins: int | None = None
+    smoothing: float | None = None
+
+    def __post_init__(self):
+        if self.mode not in HISTOGRAM_MODES:
+            raise ValueError(f"unknown histogram mode {self.mode!r} (expected one of {HISTOGRAM_MODES})")
+        if self.mode == "block":
+            if self.block is None or self.bins is None:
+                raise ValueError("block mode requires block size and bin count")
+            if _check_int(self.block, "block size") < 1:
+                raise ValueError(f"block size must be >= 1, got {self.block}")
+            if _check_int(self.bins, "bin count") < 2:
+                raise ValueError(f"bin count must be >= 2, got {self.bins}")
+        if self.smoothing is not None and not 0 < self.smoothing < math.inf:
+            raise ValueError(f"additive constant must be > 0 and finite, got {self.smoothing}")
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +315,11 @@ def _block_bins(bits: np.ndarray, block: int, bins: int) -> np.ndarray:
     return counts / counts.sum()
 
 
+def _histogram_bins(bits: np.ndarray, spec: HistogramSpec) -> np.ndarray:
+    """The probability vector of a bit array's histogram, built per ``spec``."""
+    return _binary_bins(bits) if spec.mode == "binary" else _block_bins(bits, spec.block, spec.bins)
+
+
 def binary_histogram(img: BinaryImage) -> Histogram:
     """Two-bin histogram [p(bit=0), p(bit=1)]."""
     return Histogram(_binary_bins(img.bits))
@@ -275,8 +331,4 @@ def block_lightness_histogram(img: BinaryImage, block: int, bins: int) -> Histog
     The image is partitioned into ``block`` x ``block`` tiles; edge tiles keep
     their true (smaller) size rather than being dropped.
     """
-    if block < 1:
-        raise ValueError("block size must be >= 1")
-    if bins < 2:
-        raise ValueError("bin count must be >= 2")
-    return Histogram(_block_bins(img.bits, block, bins))
+    return Histogram(_histogram_bins(img.bits, HistogramSpec("block", block, bins)))

@@ -9,12 +9,11 @@ serializes as "inf".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NoisePower, _check_int, derive_seed, gen_noise
-from .imagery import BinaryImage, GrayImage, Histogram, _binary_bins, _block_bins
+from .channel import NoisePower, derive_seed, gen_noise
+from .imagery import HISTOGRAM_MODES, BinaryImage, GrayImage, Histogram, HistogramSpec, _check_int, _histogram_bins
 
 __all__ = [
     "HISTOGRAM_MODES",
@@ -26,40 +25,6 @@ __all__ = [
     "binary_entropy",
     "noise_entropy_curve",
 ]
-
-HISTOGRAM_MODES = ("binary", "block")
-
-
-@dataclass(frozen=True)
-class HistogramSpec:
-    """How image histograms are built for divergence measurements.
-
-    ``smoothing`` is None for no smoothing or a finite positive additive constant
-    applied to every bin before renormalization.
-    """
-
-    mode: str = "binary"
-    block: int | None = None
-    bins: int | None = None
-    smoothing: float | None = None
-
-    def __post_init__(self):
-        if self.mode not in HISTOGRAM_MODES:
-            raise ValueError(f"unknown histogram mode {self.mode!r} (expected one of {HISTOGRAM_MODES})")
-        if self.mode == "block":
-            if self.block is None or self.bins is None:
-                raise ValueError("block mode requires block size and bin count")
-            if _check_int(self.block, "block size") < 1:
-                raise ValueError(f"block size must be >= 1, got {self.block}")
-            if _check_int(self.bins, "bin count") < 2:
-                raise ValueError(f"bin count must be >= 2, got {self.bins}")
-        if self.smoothing is not None and not 0 < self.smoothing < math.inf:
-            raise ValueError(f"additive constant must be > 0 and finite, got {self.smoothing}")
-
-
-def _histogram_bins(bits: np.ndarray, spec: HistogramSpec) -> np.ndarray:
-    """The probability vector of a bit array's histogram, built per ``spec``."""
-    return _binary_bins(bits) if spec.mode == "binary" else _block_bins(bits, spec.block, spec.bins)
 
 
 def build_histogram(img: BinaryImage, spec: HistogramSpec) -> Histogram:
@@ -142,7 +107,7 @@ def noise_entropy_curve(
         raise ValueError(f"reps must be >= 1, got {reps}")
     rows = []
     for ti, t in enumerate(t_grid):
-        power = t if isinstance(t, NoisePower) else NoisePower(float(t))
+        power = t if isinstance(t, NoisePower) else NoisePower(t)
         seeds = (derive_seed(seed, ti * reps + rep) for rep in range(reps))
         values = np.array([binary_entropy(gen_noise(width, height, power, s)) for s in seeds])
         std = float(values.std(ddof=1)) if reps > 1 else 0.0

@@ -17,12 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (
-    BlockSpec, NoisePower, _channel_bits, _check_int, _check_kind, _check_seed, _known_kind, _noise_bits, derive_seed
-)
+from .channel import BlockSpec, NoisePower, _channel_bits, _check_kind, _known_kind, _noise_bits, derive_seed
 from .halftone import HalftoneSpec, halftone
-from .imagery import read_gray
-from .metrics import HistogramSpec, _histogram_bins, _kl
+from .imagery import HistogramSpec, _check_int, _check_seed, _histogram_bins, read_gray
+from .metrics import _kl
 
 __all__ = [
     "SweepSpec",
@@ -67,7 +65,7 @@ class SweepSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
-        object.__setattr__(self, "t_grid", tuple(NoisePower(float(t) + 0.0).t for t in self.t_grid))  # -0.0 -> 0.0
+        object.__setattr__(self, "t_grid", tuple(NoisePower(t).t for t in self.t_grid))
         object.__setattr__(self, "corpus", tuple(str(p) for p in self.corpus))
         if not self.algorithms:
             raise ValueError("sweep needs at least one algorithm")
@@ -114,7 +112,7 @@ class RobustnessRecord:
 
     def __post_init__(self):
         _known_kind(self.noise_kind)
-        object.__setattr__(self, "t", float(NoisePower(self.t).t) + 0.0)  # t=0, 0.0 and -0.0 group and print alike
+        object.__setattr__(self, "t", NoisePower(self.t).t)  # t=0, 0.0 and -0.0 group and print alike
         if self.h is not None:  # a blockd record may leave h empty
             if self.algo != "blockd":
                 raise ValueError(f"h is recorded for blockd only, got h={self.h!r} for {self.algo!r}")
@@ -155,9 +153,9 @@ class AggregateRow:
 def _run_task(spec: SweepSpec, algo_idx: int, img_idx: int) -> list[RobustnessRecord]:
     """All (t, rep) cells for one (algorithm, image); the halftone is computed once.
 
-    The spec was checked when built, so cells run on plain uint8 arrays.  A 0/1
-    sum is an exact integer: count / n equals the mean ink_fraction and
-    euclidean_distance take."""
+    The spec was checked when built, so cells run on plain uint8 arrays.  f_in and
+    f_out are count / n, as ink_fraction computes them; e's count / n equals the
+    mean euclidean_distance takes, since a 0/1 sum is an exact integer."""
     alg = spec.algorithms[algo_idx]
     path = spec.corpus[img_idx]
     label, h = _family(alg)

@@ -69,6 +69,12 @@ def test_gen_noise_density_tracks_quantized_threshold():
         assert abs(field.ink_fraction() - noise_density(power)) <= bound
 
 
+@pytest.mark.parametrize("t", [0, 0.0, -0.0, np.float64(-0.0)], ids=["int", "zero", "negative-zero", "numpy-negative-zero"])
+def test_noise_power_zero_is_a_positive_float(t):
+    power = NoisePower(t)
+    assert type(power.t) is float and power.t == 0.0 and math.copysign(1.0, power.t) == 1.0
+
+
 def test_noise_density_quantization():
     assert noise_density(NoisePower(0.0)) == 0.0
     assert noise_density(NoisePower(1.0)) == 1.0

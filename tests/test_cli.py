@@ -303,6 +303,15 @@ def test_entropy_curve_csv(capsys, tmp_path):
     assert "t=0.500000000000" in stdout
 
 
+def test_entropy_curve_negative_zero_writes_zero(capsys, tmp_path):
+    out = tmp_path / "curve.csv"
+    argv = ["--width", "8", "--height", "8", "--reps", "2", "--seed", "5", "--out", str(out)]
+    code, stdout, _ = run(capsys, "entropy-curve", "--t-grid=-0,0.5", *argv)
+    assert code == 0
+    assert out.read_text().splitlines()[1].startswith("0.0,")
+    assert "-0" not in out.read_text() and stdout.startswith("t=0 ")
+
+
 # ---------------------------------------------------------------------------
 # sweep and compare
 # ---------------------------------------------------------------------------

@@ -154,6 +154,27 @@ NOISE_DIGESTS = {  # (width, height, t) -> sha256 of the P4 bytes
     (131, 97, 1.0): "cfaa2c7a5949989585bebce07e4f91470a6d1c784b51ce513944a11d21a5e7bb",
 }
 
+# `inkchannel noise --seed 11` stdout for the NOISE_DIGESTS fields: t, the achieved
+# density and the realised ink fraction
+NOISE_STDOUT_DIGESTS = {  # (width, height, t) -> sha256 of stdout
+    (1, 1, 0.1): "59e8e08175b708ebf1a1dcc2b1f2c84060e9831f4fd59f5feb52c77132de6924",
+    (1, 1, 0.5): "092ba3c4864124b624ed9bf47ff492f4e45b5ed4ab24ef53688a51994b71f27e",
+    (1, 1, 1.0): "b2d32e04182206a55976df2085147deacbf70c90f096d5ce80b903f282cadc98",
+    (7, 3, 0.1): "09c0c6f3154a8f12903d73229c9b5574551e4340b356217cb2a10aeff1520bab",
+    (7, 3, 0.5): "bc9c15cfe7b705a93ec81e2f2e8b2772763b7b1e3bc8689d76a3a475f3e98e03",
+    (7, 3, 1.0): "b2d32e04182206a55976df2085147deacbf70c90f096d5ce80b903f282cadc98",
+    (131, 97, 0.1): "56809f3b3959e37e676a4f3839c286c78f700119b3a908c19511cc67bbb06bd7",
+    (131, 97, 0.5): "57c6368d0ed4121d56be6a1168d075adc9cb2e91628f570c1c467ea8faf98374",
+    (131, 97, 1.0): "b2d32e04182206a55976df2085147deacbf70c90f096d5ce80b903f282cadc98",
+}
+
+# `inkchannel entropy-curve` on 32x32 fields, t in 0,0.25,0.5,1, reps 4, seed 5:
+# (CSV digest, stdout digest); the CSV holds the repr of every mean and std
+ENTROPY_CURVE_DIGESTS = (
+    "1faf9c1bf59077734fae5728b1cfa3e7b0bb53852eb326dee2176c50d79265bc",
+    "5728de9a4f3267dba75d5b72b17e2cdea2c36ae60591b54d0f522c423320100e",
+)
+
 RAGGED_HISTOGRAM_DIGESTS = {  # block size -> sha256 of the 16-bin block histogram
     7: "62ec6fa2d2baed94ab619edc014c975248c978161fa0695bf2d98c3bb0df7991",
     8: "a40c57498967976b352b6acc9d6e792d2782e20a9a867d7b1785e22b0c7733d8",
@@ -221,6 +242,20 @@ def test_noise_bytes(tmp_path, width, height, t):
     path = tmp_path / "v.pbm"
     write_binary(gen_noise(width, height, NoisePower(t), 11), path)
     assert sha256(path) == NOISE_DIGESTS[width, height, t]
+
+
+@pytest.mark.parametrize("width, height, t", NOISE_STDOUT_DIGESTS)
+def test_noise_stdout_bytes(tmp_path, capsys, width, height, t):
+    argv = ["noise", "--width", str(width), "--height", str(height), "--power", str(t), "--seed", "11"]
+    assert main([*argv, "--output", str(tmp_path / "v.pbm")]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == NOISE_STDOUT_DIGESTS[width, height, t]
+
+
+def test_entropy_curve_bytes(tmp_path, capsys):
+    argv = ["entropy-curve", "--width", "32", "--height", "32", "--t-grid", "0,0.25,0.5,1", "--reps", "4", "--seed", "5"]
+    assert main([*argv, "--out", str(tmp_path / "curve.csv")]) == 0
+    stdout = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (sha256(tmp_path / "curve.csv"), stdout) == ENTROPY_CURVE_DIGESTS
 
 
 @pytest.mark.parametrize("size", sorted(RAGGED_ERASE_DIGESTS))

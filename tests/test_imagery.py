@@ -56,6 +56,15 @@ def test_gray_image_rejects_bad_shapes_and_values():
         GrayImage(np.zeros(5, dtype=np.uint8))
     with pytest.raises(ValueError):
         GrayImage(np.array([[300, 0]]))
+    for bad in (
+        np.zeros((3, 0), dtype=np.uint8),
+        np.zeros((2, 2, 1), dtype=np.uint8),
+        np.zeros((2, 2)),
+        np.array([[0, -1]]),
+        np.array([[True, False]]),  # a mask is not a gray image
+    ):
+        with pytest.raises(ValueError):
+            GrayImage(bad)
 
 
 def test_binary_image_rejects_non_bits():
@@ -65,6 +74,19 @@ def test_binary_image_rejects_non_bits():
         BinaryImage(np.array([[0.5, 0.5]]))
     with pytest.raises(ValueError):
         BinaryImage(np.array([[0, -1]]))
+    for bad in (
+        np.zeros((0, 3), dtype=np.uint8),
+        np.zeros((3, 0), dtype=np.uint8),
+        np.zeros(5, dtype=np.uint8),
+        np.zeros((2, 2, 1), dtype=np.uint8),
+    ):
+        with pytest.raises(ValueError):
+            BinaryImage(bad)
+
+
+def test_binary_image_accepts_bool_masks():
+    bits = BinaryImage(np.array([[True, False], [False, True]])).bits
+    assert bits.dtype == np.uint8 and bits.tolist() == [[1, 0], [0, 1]]
 
 
 def test_images_are_immutable_after_construction():

@@ -250,6 +250,11 @@ def test_noise_entropy_curve_extremes():
     assert rows[1] == (1.0, 0.0, 0.0)
 
 
+def test_noise_entropy_curve_reads_negative_zero_as_zero():
+    (t, mean, std), = noise_entropy_curve(8, 8, [-0.0], reps=2, seed=9)
+    assert (t, mean, std) == (0.0, 0.0, 0.0) and math.copysign(1.0, t) == 1.0
+
+
 def test_noise_entropy_curve_peaks_at_half():
     grid = [round(0.1 * k, 1) for k in range(1, 10)]
     rows = noise_entropy_curve(64, 64, grid, reps=16, seed=3)

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from inkchannel import GrayImage, HalftoneSpec, Histogram, HistogramSpec
+from inkchannel import BinaryImage, GrayImage, HalftoneSpec, Histogram, HistogramSpec, block_lightness_histogram
 from inkchannel.cli import _parse_smoothing
 from inkchannel.halftone import (
     bayer_matrix,
@@ -24,6 +24,7 @@ from inkchannel.metrics import relative_entropy
 
 GRAY = GrayImage(np.full((4, 4), 128, dtype=np.uint8))
 HALF = Histogram(np.array([0.5, 0.5]))
+BITS = BinaryImage(np.zeros((4, 4), dtype=np.uint8))
 
 
 @pytest.mark.parametrize(
@@ -64,6 +65,14 @@ HALF = Histogram(np.array([0.5, 0.5]))
             (lambda: relative_entropy(HALF, HALF, smoothing=math.inf),),
             id="smoothing-inf",
         ),
+        *(
+            pytest.param(
+                lambda block=block, bins=bins: HistogramSpec("block", block=block, bins=bins),
+                (lambda block=block, bins=bins: block_lightness_histogram(BITS, block, bins),),
+                id=f"block-{block}-bins-{bins}",
+            )
+            for block, bins in ((0, 4), (2.5, 4), (2, 1), (2, 2.5))
+        ),
     ],
 )
 def test_bad_value_gives_the_spec_message_everywhere(spec, raws):
@@ -89,3 +98,10 @@ def test_cdot_order_message_names_only_the_cdot_orders(order):
         HalftoneSpec("cdot", matrix_order=order)
     allowed = str(from_spec.value).partition("got")[0]
     assert "4 and 8" in allowed and "2" not in allowed
+
+
+def test_histogram_rule_lives_with_histogram_and_metrics_re_exports_it():
+    from inkchannel import imagery, metrics
+
+    assert metrics.HistogramSpec is imagery.HistogramSpec is HistogramSpec
+    assert metrics.HISTOGRAM_MODES is imagery.HISTOGRAM_MODES
