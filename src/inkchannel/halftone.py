@@ -53,6 +53,12 @@ _DD_NEIGHBORS = (
     (1, -1, 1), (1, 0, 2), (1, 1, 1),
 )
 
+# in class order: each class's cell (r, s) in the 8x8 tile and its later neighbors (dy, dx, weight)
+_DD_ORDER = tuple(
+    (r, s, tuple(n for n in _DD_NEIGHBORS if _CLASS_8[(r + n[0]) % 8, (s + n[1]) % 8] > c))
+    for c, (r, s) in enumerate(divmod(i, 8) for i in np.argsort(_CLASS_8, axis=None).tolist())
+)
+
 
 def _bayer(order: int) -> np.ndarray:
     """Classical recursive Bayer index matrix; base case [[0, 2], [3, 1]]."""
@@ -173,22 +179,26 @@ def halftone_floyd_steinberg(img: GrayImage) -> BinaryImage:
     One numpy step per wave k = x + 2y.  Pixel (y, x) takes its SE, S, SW and
     E shares in that order, from waves k-3, k-2, k-1 and k-1, so each step adds
     SW before E.  On a flat buffer zero-padded to (h+1) x (w+2), which takes
-    the error sent past the border, a wave is a slice of stride w.
+    the error sent past the border, a wave is a slice of stride w.  SW, S and SE
+    go in one add through a window whose row j is the buffer shifted by j (rows
+    never meet: w >= 3, or the wave holds one pixel), then E; SW still leads.
     """
     h, w = img.height, img.width
     buf = np.zeros((h + 1) * (w + 2))
     buf.reshape(h + 1, w + 2)[:h, 1 : w + 1] = _darkness(img.pixels)
-    out = np.zeros(buf.size, dtype=np.uint8)
-    err, share = np.empty(min(h, w)), np.empty(min(h, w))  # no wave holds more pixels
-    targets = ((w + 1, 0.1875), (1, 0.4375), (w + 2, 0.3125), (w + 3, 0.0625))  # SW before E
+    window = np.lib.stride_tricks.sliding_window_view(buf, 3, writeable=True).T
+    out = np.zeros(buf.size, dtype=bool)  # the compare writes bool without a cast
+    err, share = np.empty(min(h, w)), np.empty((4, min(h, w)))  # no wave holds more pixels
+    weights = np.array([[0.1875], [0.3125], [0.0625], [0.4375]])  # SW, S, SE, E
     for k in range(w + 2 * h - 2):
         y_lo, y_hi = max(0, (k - w + 2) // 2), min(h - 1, k // 2)
         start, stop, n = k + 1 + y_lo * w, k + 2 + y_hi * w, y_hi - y_lo + 1
         d = buf[start:stop:w]
         e = np.subtract(d, np.greater_equal(d, 0.5, out=out[start:stop:w]), out=err[:n])
-        for offset, weight in targets:
-            target = buf[start + offset : stop + offset : w]
-            np.add(target, np.multiply(e, weight, out=share[:n]), out=target)
+        shares = np.multiply(weights, e, out=share[:, :n])
+        below, east = window[:, start + w + 1 : stop + w + 1 : w], buf[start + 1 : stop + 1 : w]
+        np.add(below, shares[:3], out=below)
+        np.add(east, shares[3], out=east)
     return BinaryImage(out.reshape(h + 1, w + 2)[:h, 1 : w + 1])
 
 
@@ -228,17 +238,16 @@ def halftone_dot_diffusion(img: GrayImage) -> BinaryImage:
     classes = np.tile(_CLASS_8, (-(-h // 8), -(-w // 8)))[:h, :w]
     padded = np.pad(classes, 1, constant_values=-1)
     total = sum(wgt * (padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w] > classes) for dy, dx, wgt in _DD_NEIGHBORS)
+    total = np.maximum(total, 1)  # 0 only where every later neighbor is off the image
     out = np.zeros((h, w), dtype=np.uint8)
-    for c, (r, s) in enumerate(zip(*np.divmod(np.argsort(_CLASS_8, axis=None), 8))):
+    for r, s, later in _DD_ORDER:
         d = buf[1 + r : h + 1 : 8, 1 + s : w + 1 : 8]
         ink = d >= 0.5
         out[r::8, s::8] = ink
-        err = np.where(ink, d - 1.0, d)
-        tot = total[r::8, s::8]
-        scale = err / np.maximum(tot, 1)  # tot is 0 only where every later neighbor is off the image
-        for dy, dx, wgt in _DD_NEIGHBORS:
-            if _CLASS_8[(r + dy) % 8, (s + dx) % 8] > c:
-                buf[1 + r + dy : h + 1 + dy : 8, 1 + s + dx : w + 1 + dx : 8] += wgt * scale
+        scale = (d - ink) / total[r::8, s::8]  # d - 0 is d itself, -0.0 included
+        share = (scale, scale + scale)  # by weight - 1; 2 * scale is exactly scale + scale
+        for dy, dx, wgt in later:
+            buf[1 + r + dy : h + 1 + dy : 8, 1 + s + dx : w + 1 + dx : 8] += share[wgt - 1]
     return BinaryImage(out)
 
 

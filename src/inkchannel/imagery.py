@@ -174,6 +174,8 @@ class HistogramSpec:
 # ---------------------------------------------------------------------------
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
+_IS_SPACE = np.isin(np.arange(256), list(_WHITESPACE))
+_DIGIT = np.array([b - 48 if 48 <= b <= 57 else 256 for b in range(256)], np.int16)  # no digit: past any sample
 _KINDS = {b"P1": "PBM", b"P4": "PBM", b"P2": "PGM", b"P5": "PGM"}
 _COMMENT = re.compile(rb"#[^\n]*")
 # one header token after its separators: whitespace, or '#' to the end of the line
@@ -198,6 +200,15 @@ def _ascii_payload(text: bytes, gray: bool, count: int) -> np.ndarray:
     """
     text = _COMMENT.sub(b" ", text)
     if gray:
+        # numpy path: count tokens of 1-3 digits, all <= 255; int() and its errors decide any other payload
+        raw = np.frombuffer(text, dtype=np.uint8)
+        edges = np.flatnonzero(np.diff(_IS_SPACE[raw], prepend=True, append=True))  # token starts, ends
+        starts, ends = edges[: 2 * count : 2], edges[1 : 2 * count : 2]
+        if len(ends) == count and (ends - starts).max() <= 3:
+            digit = _DIGIT[raw[: ends[-1]]]
+            vals = sum((ends - starts > j) * digit.take(ends - 1 - j, mode="clip") * 10**j for j in range(3))
+            if vals.max() <= 255:
+                return vals.astype(np.uint8)
         vals = list(map(_sample, text.split()[:count]))
         if len(vals) < count:
             raise NetpbmError(f"truncated payload: expected {count} samples, got {len(vals)}")

@@ -1,10 +1,12 @@
 import re
+import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from inkchannel import BinaryImage, HistogramSpec, channel, read_binary, write_binary, write_gray
+from inkchannel import ALGORITHMS, BinaryImage, HistogramSpec, channel, read_binary, read_gray, write_binary, write_gray
 from inkchannel.cli import _parse_algorithm_token, format_scalar, main, parse_sweep_config
 
 from conftest import constant_gray
@@ -101,6 +103,29 @@ def test_halftone_does_not_modify_input(capsys, tmp_path, gray128):
     before = gray128.read_bytes()
     run(capsys, "halftone", "--algo", "fs", "--input", str(gray128), "--output", str(tmp_path / "g.pbm"))
     assert gray128.read_bytes() == before
+
+
+def test_p2_and_p5_copies_halftone_alike(capsys, tmp_path, monkeypatch):
+    """Each make_corpus image read from P2 equals its P5 original, and every
+    algorithm writes the same PBM bytes and stdout from either copy."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_corpus.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--out", str(tmp_path), "--count", "2", "--size", "48"])
+    runpy.run_path(str(script), run_name="__main__")
+    capsys.readouterr()
+    extra = {"random": ["--seed", "3"], "blockd": ["--h", "5"]}
+    for p5 in sorted(tmp_path.glob("scene*.pgm")):
+        p2 = p5.with_suffix(".p2.pgm")
+        write_gray(read_gray(p5), p2, ascii_format=True)
+        assert p2.read_bytes().startswith(b"P2") and np.array_equal(read_gray(p2).pixels, read_gray(p5).pixels)
+        for algo in ALGORITHMS:
+            outputs = []
+            for src in (p5, p2):
+                out = tmp_path / f"{src.stem}.{algo}.pbm"
+                argv = ["halftone", "--algo", algo, "--input", str(src), "--output", str(out), *extra.get(algo, [])]
+                code, stdout, stderr = run(capsys, *argv)
+                assert code == 0, stderr
+                outputs.append((out.read_bytes(), stdout))
+            assert outputs[0] == outputs[1], (p5.name, algo)
 
 
 # ---------------------------------------------------------------------------

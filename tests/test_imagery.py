@@ -1,3 +1,4 @@
+import random
 import re
 
 import numpy as np
@@ -18,7 +19,9 @@ from inkchannel import (
     write_binary,
     write_gray,
 )
-from inkchannel.imagery import _block_bins
+from inkchannel.imagery import _ascii_payload, _block_bins
+
+import netpbm_oracle
 
 
 def gray(rows):
@@ -301,6 +304,13 @@ NETPBM_CASES = [
     (b"P5 1 1 255#c\n\x07", "missing separator before raster"),
     (b"P2 x 1 255 0", "malformed header width b'x'"),
     (b"P2 1 1 25x 0", "malformed header maxval b'25x'"),
+    # P2 samples near the numpy decode's limits (kept last: a list result's id is its index)
+    (b"P2 2 1 255 007 0255", [[7, 255]]),
+    (b"P2 3 2 255 1\t2\n3\x0b4\x0c5\r6", [[1, 2, 3], [4, 5, 6]]),
+    (b"P2 1 1 255 1\x00", "malformed payload sample b'1\\x00'"),
+    (b"P2 1 1 255 1255", "malformed payload sample 1255 (out of 0..255)"),
+    (b"P2 2 1 255 255 256", "malformed payload sample 256 (out of 0..255)"),
+    (b"P2 1 1 255 \xff", "malformed payload sample b'\\xff'"),
 ]
 
 
@@ -315,6 +325,58 @@ def test_netpbm_edge_cases(tmp_path, data, expected):
         img = read_image(path)
         values = img.pixels if isinstance(img, GrayImage) else img.bits
         assert values.tolist() == expected
+
+
+_P2_TOKEN_BYTES = b"0123456789+-_x\x00\xff"
+_P2_SPACES = b" \t\n\x0b\x0c\r"
+
+
+def _p2_payload(rng) -> bytes:
+    """Random P2 payload bytes: samples, and at a per-payload rate odd tokens
+    (past 255, zero-padded past 3 bytes, or random bytes) and joined tokens;
+    whitespace runs and '#' comments between them."""
+
+    def pick(alphabet, lo, hi):
+        return bytes(rng.choices(alphabet, k=rng.randint(lo, hi)))
+
+    odd = rng.choice([0.0, 0.1, 0.4])
+    parts = [pick(_P2_SPACES, 0, 1)]
+    for _ in range(rng.randint(0, 11)):
+        if rng.random() >= odd:
+            parts.append(str(rng.randint(0, 255)).zfill(rng.randint(1, 3)).encode())
+        elif rng.random() < 0.5:
+            parts.append(str(rng.randint(0, 999)).zfill(rng.randint(1, 5)).encode())
+        else:
+            parts.append(pick(_P2_TOKEN_BYTES, 1, 4))
+        roll = rng.random()
+        if roll < 0.1:
+            parts.append(b"#" + pick(_P2_TOKEN_BYTES + _P2_SPACES, 0, 3) + pick(b"\n", 0, 1))
+        elif roll >= odd / 2:
+            parts.append(pick(_P2_SPACES, 1, 2))
+    return b"".join(parts)
+
+
+def _decoded(decode, text, count):
+    try:
+        arr = decode(text, count)
+    except NetpbmError as exc:
+        return str(exc)
+    return arr.dtype.str, arr.tolist()
+
+
+def test_p2_decode_matches_token_loop():
+    """The numpy P2 decode gives the token loop's samples or its error message
+    on 5,000 random payloads and sample counts; both paths must be exercised."""
+    rng = random.Random(13)
+    plain = 0
+    for _ in range(5000):
+        text = _p2_payload(rng)
+        count = rng.randint(1, 13)
+        expected = _decoded(netpbm_oracle.gray_payload, text, count)
+        assert _decoded(lambda t, c: _ascii_payload(t, True, c), text, count) == expected, (text, count)
+        tokens = re.sub(rb"#[^\n]*", b" ", text).split()[:count]
+        plain += len(tokens) == count and all(re.fullmatch(rb"[0-9]{1,3}", t) and int(t) <= 255 for t in tokens)
+    assert 1000 < plain < 4000, plain
 
 
 def test_read_image_types_and_format_restrictions(tmp_path):
