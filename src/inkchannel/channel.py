@@ -111,9 +111,12 @@ def noise_density(power: NoisePower) -> float:
 def _noise_bits(shape: tuple[int, int], t: float, seed: int) -> np.ndarray:
     """The noise field as a uint8 array: 1 where byte r of PCG64(seed)'s raw words, little-endian
     and row-major, is below ceil(t*256); for an integer r that is r < t*256, and t = 1 inks all."""
+    c = math.ceil(t * 256)
+    if c in (0, 256):  # no byte is below 0 and every byte is below 256: the field needs no draw
+        return np.full(shape, c >> 8, np.uint8)
     n = shape[0] * shape[1]
     r = np.random.PCG64(seed).random_raw(-(-n // 8)).astype("<u8", copy=False).view(np.uint8)[:n]
-    return (r.reshape(shape) < math.ceil(t * 256)).view(np.uint8)
+    return (r.reshape(shape) < c).view(np.uint8)
 
 
 def gen_noise(width: int, height: int, power: NoisePower, seed: int) -> BinaryImage:
@@ -143,15 +146,18 @@ def apply_gate(control: BinaryImage, target: BinaryImage, op: str) -> BinaryImag
     return BinaryImage(_GATES[op](target.bits, control.bits))
 
 
-def _channel_bits(g: np.ndarray, v: np.ndarray, kind: str, block: int | None = None) -> np.ndarray:
-    """Halftone bits ``g`` after channel ``kind`` with noise field ``v``; the array core of transmit."""
-    if block is not None:  # the erase gate under a mask that spreads each tile's center bit over its tile
-        c = (block - 1) // 2
-        centres = g[c::block, c::block]  # only the tiles that contain their center
-        padded = np.zeros((-(-g.shape[0] // block), -(-g.shape[1] // block)), dtype=np.uint8)
-        padded[: centres.shape[0], : centres.shape[1]] = centres
-        v = v & padded.repeat(block, axis=0).repeat(block, axis=1)[: g.shape[0], : g.shape[1]]
-    return _GATES[_KIND_GATES[kind]](g, v)
+def _block_mask(g: np.ndarray, block: int) -> np.ndarray:
+    """Block erase's gate mask: each tile's center bit of ``g`` over its tile, 0 where no center fits."""
+    c = (block - 1) // 2
+    centres = g[c::block, c::block]  # only the tiles that contain their center
+    padded = np.zeros((-(-g.shape[0] // block), -(-g.shape[1] // block)), dtype=np.uint8)
+    padded[: centres.shape[0], : centres.shape[1]] = centres
+    return padded.repeat(block, axis=0).repeat(block, axis=1)[: g.shape[0], : g.shape[1]]
+
+
+def _channel_bits(g: np.ndarray, v: np.ndarray, kind: str, mask: np.ndarray | None = None) -> np.ndarray:
+    """Bits ``g`` after channel ``kind`` with noise field ``v``, block erase's under ``mask``; transmit's core."""
+    return _GATES[_KIND_GATES[kind]](g, v if mask is None else v & mask)
 
 
 def transmit_bitflip(g: BinaryImage, power: NoisePower, seed: int) -> BinaryImage:
@@ -173,7 +179,7 @@ def transmit_block_erase(g: BinaryImage, power: NoisePower, block: BlockSpec, se
     pass through unchanged.
     """
     v = gen_noise(g.width, g.height, power, seed).bits
-    return BinaryImage(_channel_bits(g.bits, v, "block-erase", block.size))
+    return BinaryImage(_channel_bits(g.bits, v, "block-erase", _block_mask(g.bits, block.size)))
 
 
 def transmit(g: BinaryImage, cfg: ChannelConfig) -> BinaryImage:

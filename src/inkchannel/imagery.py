@@ -202,10 +202,10 @@ def _ascii_payload(text: bytes, gray: bool, count: int) -> np.ndarray:
     if gray:
         # numpy path: count tokens of 1-3 digits, all <= 255; int() and its errors decide any other payload
         raw = np.frombuffer(text, dtype=np.uint8)
-        edges = np.flatnonzero(np.diff(_IS_SPACE[raw], prepend=True, append=True))  # token starts, ends
+        edges = np.flatnonzero(np.diff(_IS_SPACE.take(raw), prepend=True, append=True))  # token starts, ends
         starts, ends = edges[: 2 * count : 2], edges[1 : 2 * count : 2]
         if len(ends) == count and (ends - starts).max() <= 3:
-            digit = _DIGIT[raw[: ends[-1]]]
+            digit = _DIGIT.take(raw[: ends[-1]])
             vals = sum((ends - starts > j) * digit.take(ends - 1 - j, mode="clip") * 10**j for j in range(3))
             if vals.max() <= 255:
                 return vals.astype(np.uint8)

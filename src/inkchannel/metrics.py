@@ -61,13 +61,27 @@ def relative_entropy(p: Histogram, q: Histogram, smoothing: float | None = None)
 
 def _kl(p: np.ndarray, q: np.ndarray, smoothing: float | None) -> float:
     """relative_entropy on plain probability vectors of one length."""
+    return _kl_from(_kl_reference(p, smoothing), q)
+
+
+def _kl_reference(p: np.ndarray, smoothing: float | None) -> tuple:
+    """The p-only part of _kl, built once per sweep task: p on its support, its log2, the support, smoothing."""
     if smoothing is not None:
-        p, q = ((v + smoothing) / (1.0 + smoothing * v.size) for v in (p, q))
+        p = (p + smoothing) / (1.0 + smoothing * p.size)
     support = p > 0
-    p, q = p[support], q[support]
+    p = p[support]
+    return p, np.log2(p), support, smoothing
+
+
+def _kl_from(ref: tuple, q: np.ndarray) -> float:
+    """_kl of the reference's p against q."""
+    p, log2_p, support, smoothing = ref
+    if smoothing is not None:
+        q = (q + smoothing) / (1.0 + smoothing * q.size)
+    q = q[support]
     if (q == 0).any():
         return math.inf
-    terms = p * (np.log2(p) - np.log2(q))
+    terms = p * (log2_p - np.log2(q))
     total = float(terms.sum())
     # Gibbs guarantees >= 0; clip float-rounding dust just below zero
     return 0.0 if -1e-15 < total < 0.0 else total

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -17,10 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import BlockSpec, NoisePower, _channel_bits, _check_kind, _known_kind, _noise_bits, derive_seed
+from .channel import (
+    BlockSpec, NoisePower, _block_mask, _channel_bits, _check_kind, _known_kind, _noise_bits, derive_seed
+)
 from .halftone import HalftoneSpec, halftone
 from .imagery import HistogramSpec, _check_int, _check_seed, _histogram_bins, read_gray
-from .metrics import _kl
+from .metrics import _kl_from, _kl_reference
 
 __all__ = [
     "SweepSpec",
@@ -151,11 +154,12 @@ class AggregateRow:
 
 
 def _run_task(spec: SweepSpec, algo_idx: int, img_idx: int) -> list[RobustnessRecord]:
-    """All (t, rep) cells for one (algorithm, image); the halftone is computed once.
+    """All (t, rep) cells for one (algorithm, image); the halftone, its gate mask and KL reference are built once.
 
     The spec was checked when built, so cells run on plain uint8 arrays.  f_in and
     f_out are count / n, as ink_fraction computes them; e's count / n equals the
-    mean euclidean_distance takes, since a 0/1 sum is an exact integer."""
+    mean euclidean_distance takes, since a 0/1 sum is an exact integer.  Where the noise
+    field takes no draw, every rep's q, e and f_out are rep 0's; each rep keeps its seed."""
     alg = spec.algorithms[algo_idx]
     path = spec.corpus[img_idx]
     label, h = _family(alg)
@@ -164,20 +168,23 @@ def _run_task(spec: SweepSpec, algo_idx: int, img_idx: int) -> list[RobustnessRe
         g = halftone(read_gray(path), alg).bits
     except Exception as exc:
         raise SweepError(f"sweep aborted at {cell}: {exc}") from exc
-    n, f_in, p = g.size, np.count_nonzero(g) / g.size, None
-    kind, hist, block = spec.channel_kind, spec.histogram, spec.block and spec.block.size
+    n, f_in, ref = g.size, np.count_nonzero(g) / g.size, None
+    kind, hist, mask = spec.channel_kind, spec.histogram, spec.block and _block_mask(g, spec.block.size)
     image_id, n_img, n_t, reps = Path(path).name, len(spec.corpus), len(spec.t_grid), spec.reps
     records = []
     for ti, t in enumerate(spec.t_grid):
+        fixed = math.ceil(t * 256) in (0, 256)  # _noise_bits draws nothing: one field for every rep
         for rep in range(reps):
             index = ((algo_idx * n_img + img_idx) * n_t + ti) * reps + rep
             seed = derive_seed(spec.master_seed, index)
             try:
-                gp = _channel_bits(g, _noise_bits(g.shape, t, seed), kind, block)
-                p = _histogram_bins(g, hist) if p is None else p  # a misfit histogram fails in the first cell
-                q = _kl(p, _histogram_bins(gp, hist), hist.smoothing)
-                e = math.sqrt(np.count_nonzero(gp != g) / n)
-                records.append(RobustnessRecord(label, image_id, kind, t, h, rep, seed, q, e, f_in, np.count_nonzero(gp) / n))
+                if rep == 0 or not fixed:
+                    gp = _channel_bits(g, _noise_bits(g.shape, t, seed), kind, mask)
+                    if ref is None:  # a misfit histogram fails in the first cell
+                        ref = _kl_reference(_histogram_bins(g, hist), hist.smoothing)
+                    q = _kl_from(ref, _histogram_bins(gp, hist))
+                    e, f_out = math.sqrt(np.count_nonzero(gp != g) / n), np.count_nonzero(gp) / n
+                records.append(RobustnessRecord(label, image_id, kind, t, h, rep, seed, q, e, f_in, f_out))
             except Exception as exc:
                 raise SweepError(f"sweep aborted at {cell}, t={t!r}, rep={rep}, seed={seed}: {exc}") from exc
     return records
@@ -320,15 +327,11 @@ def difference_surface(records_first, records_blockd):
 # CSV serialization ('.' decimal separator, "inf" for +infinity)
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    return "" if x is None else str(x)
-
-
 def _write_csv(rows, fields, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="") as fh:  # csv writes None as an empty field and a float by its str
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fields)
-        writer.writerows([_fmt(getattr(r, f)) for f in fields] for r in rows)
+        writer.writerows(map(operator.attrgetter(*fields), rows))
 
 
 def write_records_csv(records, path) -> None:

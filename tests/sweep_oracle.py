@@ -4,9 +4,14 @@ This is the object-level cell path the array core replaced: each cell builds
 a ChannelConfig, sends the halftone through `transmit`, and measures the
 result with `image_relative_entropy`, `euclidean_distance` and
 `ink_fraction`.  The differential tests hold `run_sweep` to the same records.
+`kl` is the one-piece relative entropy that `metrics._kl` split into a
+per-task reference and a per-cell score; a differential holds `_kl` to it.
 """
 
+import math
 from pathlib import Path
+
+import numpy as np
 
 from inkchannel import (
     ChannelConfig,
@@ -66,3 +71,17 @@ def run_sweep(spec) -> list:
     return [
         rec for ai in range(len(spec.algorithms)) for ii in range(len(spec.corpus)) for rec in run_task(spec, ai, ii)
     ]
+
+
+def kl(p: np.ndarray, q: np.ndarray, smoothing) -> float:
+    """relative_entropy on plain probability vectors of one length, in one piece."""
+    if smoothing is not None:
+        p, q = ((v + smoothing) / (1.0 + smoothing * v.size) for v in (p, q))
+    support = p > 0
+    p, q = p[support], q[support]
+    if (q == 0).any():
+        return math.inf
+    terms = p * (np.log2(p) - np.log2(q))
+    total = float(terms.sum())
+    # Gibbs guarantees >= 0; clip float-rounding dust just below zero
+    return 0.0 if -1e-15 < total < 0.0 else total

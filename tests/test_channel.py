@@ -114,7 +114,8 @@ def test_noise_bits_match_generator_integers():
     for shape in shapes:
         ragged += shape[0] * shape[1] % 8 != 0
         seed = int(rng.integers(0, 2**64, dtype=np.uint64))
-        for t in (0.0, 1 / 256, 0.5, 255 / 256, 1.0, float(rng.random())):
+        # 0.999 and 255/256 + 1e-12 have ceil(t*256) = 256 (all ink, no draw); 1e-300 and 5e-324 have 1
+        for t in (0.0, 1 / 256, 0.5, 255 / 256, 1.0, float(rng.random()), 0.999, 255 / 256 + 1e-12, 1e-300, 5e-324):
             got = _noise_bits(shape, t, seed)
             assert got.dtype == np.uint8 and got.shape == shape
             assert np.array_equal(got, generator_noise_bits(shape, t, seed)), (shape, t, seed)

@@ -21,7 +21,9 @@ from inkchannel import (
 )
 from inkchannel.channel import noise_density
 from inkchannel.halftone import halftone_floyd_steinberg
+from inkchannel.metrics import _kl
 
+import sweep_oracle
 from conftest import constant_gray
 
 
@@ -170,6 +172,24 @@ def test_kl_non_negative_and_identity(pair):
 def test_kl_matches_independent_oracle(pair):
     p, q = pair
     assert relative_entropy(p, q) == pytest.approx(kl_oracle(p.bins, q.bins), rel=1e-12, abs=1e-14)
+
+
+def test_kl_matches_one_piece_oracle_bit_for_bit():
+    """_kl, split into a per-task reference and a per-cell score, returns the one-piece
+    body's float exactly, inf included, on 2,400 seeded pairs with zero bins on either side."""
+    rng = np.random.default_rng(14)
+    seen = {"inf": 0, "finite": 0, "zero": 0}
+    for i in range(2400):
+        size = int(rng.integers(2, 65))
+        p, q = (rng.integers(0, 50, size) * (rng.random(size) >= rng.random()) for _ in range(2))
+        p[rng.integers(size)] += 1  # a histogram has some mass
+        q = p.copy() if i % 10 == 0 else q + (q.sum() == 0)
+        p, q = p / p.sum(), q / q.sum()
+        for smoothing in (None, 1e-9, 0.5):
+            got, want = _kl(p, q, smoothing), sweep_oracle.kl(p, q, smoothing)
+            assert got == want, (p, q, smoothing, got, want)
+            seen["inf" if math.isinf(got) else "zero" if got == 0.0 else "finite"] += 1
+    assert min(seen.values()) >= 200, seen
 
 
 # ---------------------------------------------------------------------------

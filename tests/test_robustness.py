@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -254,6 +255,19 @@ def test_sweep_core_fails_where_the_oracle_fails(oracle_corpora):
         sweep_oracle.run_sweep(spec)
     assert str(core.value) == str(oracle.value)
     assert "t=0.5, rep=0" in str(core.value)
+
+
+@pytest.mark.parametrize("histogram", (("binary", None, None), ("block", 8, 16)))
+@pytest.mark.parametrize("kind, block", (("bitflip", None), ("erase", None), ("block-erase", 3)))
+def test_draw_free_cells_match_oracle_and_jobs(oracle_corpora, kind, block, histogram):
+    """At t = 0, 0.999 and 1 the noise field takes no draw and the core reuses rep 0's cell, while
+    255/256 is the last t that draws; the records equal the object path's, at jobs 1 and 2, one seed per rep."""
+    spec = oracle_spec(oracle_corpora["ragged"], kind, block, histogram, None, t_grid=(0.0, 255 / 256, 0.999, 1.0))
+    spec = dataclasses.replace(spec, reps=3)
+    records = run_sweep(spec)
+    assert records == sweep_oracle.run_sweep(spec)
+    assert records == run_sweep(spec, jobs=2)
+    assert len({r.seed for r in records}) == len(records) == 2 * 2 * 4 * 3
 
 
 # ---------------------------------------------------------------------------
