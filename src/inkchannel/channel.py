@@ -105,15 +105,13 @@ class ChannelConfig:
 
 def noise_density(power: NoisePower) -> float:
     """Achieved ones-density of the discretized generator: ceil(t*256)/256."""
-    return min(1.0, math.ceil(power.t * 256) / 256.0)
+    return math.ceil(power.t * 256) / 256
 
 
 def _noise_bits(shape: tuple[int, int], t: float, seed: int) -> np.ndarray:
     """The noise field as a uint8 array: 1 where byte r of PCG64(seed)'s raw words, little-endian
     and row-major, is below ceil(t*256); for an integer r that is r < t*256, and t = 1 inks all."""
     c = math.ceil(t * 256)
-    if c in (0, 256):  # no byte is below 0 and every byte is below 256: the field needs no draw
-        return np.full(shape, c >> 8, np.uint8)
     n = shape[0] * shape[1]
     r = np.random.PCG64(seed).random_raw(-(-n // 8)).astype("<u8", copy=False).view(np.uint8)[:n]
     return (r.reshape(shape) < c).view(np.uint8)

@@ -200,19 +200,17 @@ def _ascii_payload(text: bytes, gray: bool, count: int) -> np.ndarray:
     """
     text = _COMMENT.sub(b" ", text)
     if gray:
-        # numpy path: count tokens of 1-3 digits, all <= 255; int() and its errors decide any other payload
         raw = np.frombuffer(text, dtype=np.uint8)
         edges = np.flatnonzero(np.diff(_IS_SPACE.take(raw), prepend=True, append=True))  # token starts, ends
         starts, ends = edges[: 2 * count : 2], edges[1 : 2 * count : 2]
-        if len(ends) == count and (ends - starts).max() <= 3:
-            digit = _DIGIT.take(raw[: ends[-1]])
-            vals = sum((ends - starts > j) * digit.take(ends - 1 - j, mode="clip") * 10**j for j in range(3))
-            if vals.max() <= 255:
-                return vals.astype(np.uint8)
-        vals = list(map(_sample, text.split()[:count]))
+        size, digit = ends - starts, _DIGIT.take(raw)
+        vals = sum((size > j) * digit.take(ends - 1 - j, mode="clip") * 10**j for j in range(3))
+        # a token the digit table cannot read (over 3 bytes, a non-digit, above 255) goes to int(), in file order
+        for i in np.flatnonzero((size > 3) | (vals > 255)):
+            vals[i] = _sample(text[starts[i] : ends[i]])
         if len(vals) < count:
             raise NetpbmError(f"truncated payload: expected {count} samples, got {len(vals)}")
-        return np.array(vals, dtype=np.uint8)
+        return vals.astype(np.uint8)
     digits = text.translate(None, _WHITESPACE)[:count]
     bad = digits.translate(None, b"01")
     if bad:

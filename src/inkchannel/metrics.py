@@ -56,16 +56,11 @@ def relative_entropy(p: Histogram, q: Histogram, smoothing: float | None = None)
     if p.bin_count != q.bin_count:
         raise ValueError(f"bin-count mismatch: {p.bin_count} vs {q.bin_count}")
     HistogramSpec(smoothing=smoothing)
-    return _kl(p.bins, q.bins, smoothing)
-
-
-def _kl(p: np.ndarray, q: np.ndarray, smoothing: float | None) -> float:
-    """relative_entropy on plain probability vectors of one length."""
-    return _kl_from(_kl_reference(p, smoothing), q)
+    return _kl_from(_kl_reference(p.bins, smoothing), q.bins)
 
 
 def _kl_reference(p: np.ndarray, smoothing: float | None) -> tuple:
-    """The p-only part of _kl, built once per sweep task: p on its support, its log2, the support, smoothing."""
+    """The p-only part of relative_entropy, built once per sweep task: p on its support, log2 p, support, smoothing."""
     if smoothing is not None:
         p = (p + smoothing) / (1.0 + smoothing * p.size)
     support = p > 0
@@ -74,7 +69,7 @@ def _kl_reference(p: np.ndarray, smoothing: float | None) -> tuple:
 
 
 def _kl_from(ref: tuple, q: np.ndarray) -> float:
-    """_kl of the reference's p against q."""
+    """relative_entropy of the reference's p against q, on plain probability vectors of one length."""
     p, log2_p, support, smoothing = ref
     if smoothing is not None:
         q = (q + smoothing) / (1.0 + smoothing * q.size)

@@ -13,7 +13,7 @@ import math
 import operator
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,11 +42,6 @@ __all__ = [
     "RECORD_FIELDS",
     "AGGREGATE_FIELDS",
 ]
-
-RECORD_FIELDS = ("algo", "image", "noise_kind", "t", "h", "rep", "seed", "q_bits", "e_dist", "f_in", "f_out")
-AGGREGATE_FIELDS = ("algo", "noise_kind", "t", "h", "mean_q", "stderr_q", "n")
-_TEXT_FIELDS = ("algo", "image", "noise_kind")
-_FLOAT_FIELDS = ("t", "q_bits", "e_dist", "f_in", "f_out")  # the rest are integers; h may be empty
 
 DEFAULT_TIE_TOLERANCE = 1e-12
 
@@ -153,13 +148,20 @@ class AggregateRow:
     n: int
 
 
+RECORD_FIELDS = tuple(f.name for f in fields(RobustnessRecord))
+AGGREGATE_FIELDS = tuple(f.name for f in fields(AggregateRow))
+# a records-CSV field's parser, by its annotation on RobustnessRecord; an empty h reads as None
+_PARSERS = {"str": str, "float": float, "int": int, "int | None": lambda text: int(text) if text else None}
+_RECORD_PARSERS = tuple(_PARSERS[f.type] for f in fields(RobustnessRecord))
+
+
 def _run_task(spec: SweepSpec, algo_idx: int, img_idx: int) -> list[RobustnessRecord]:
     """All (t, rep) cells for one (algorithm, image); the halftone, its gate mask and KL reference are built once.
 
     The spec was checked when built, so cells run on plain uint8 arrays.  f_in and
     f_out are count / n, as ink_fraction computes them; e's count / n equals the
     mean euclidean_distance takes, since a 0/1 sum is an exact integer.  Where the noise
-    field takes no draw, every rep's q, e and f_out are rep 0's; each rep keeps its seed."""
+    field is the same for every seed, every rep's q, e and f_out are rep 0's; each rep keeps its seed."""
     alg = spec.algorithms[algo_idx]
     path = spec.corpus[img_idx]
     label, h = _family(alg)
@@ -173,7 +175,8 @@ def _run_task(spec: SweepSpec, algo_idx: int, img_idx: int) -> list[RobustnessRe
     image_id, n_img, n_t, reps = Path(path).name, len(spec.corpus), len(spec.t_grid), spec.reps
     records = []
     for ti, t in enumerate(spec.t_grid):
-        fixed = math.ceil(t * 256) in (0, 256)  # _noise_bits draws nothing: one field for every rep
+        # no byte is below 0 and every byte is below 256, so every seed gives the same field
+        fixed = math.ceil(t * 256) in (0, 256)
         for rep in range(reps):
             index = ((algo_idx * n_img + img_idx) * n_t + ti) * reps + rep
             seed = derive_seed(spec.master_seed, index)
@@ -338,24 +341,19 @@ def write_records_csv(records, path) -> None:
     _write_csv(records, RECORD_FIELDS, path)
 
 
-def _parse_field(name: str, text: str):
-    if name in _TEXT_FIELDS:
-        return text
-    if name in _FLOAT_FIELDS:
-        return float(text)
-    return None if name == "h" and not text else int(text)
-
-
 def read_records_csv(path) -> list[RobustnessRecord]:
     """Records from a CSV written by write_records_csv; a bad row is a ValueError naming its line."""
     records = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != list(RECORD_FIELDS):
-            raise ValueError(f"unexpected record CSV header {reader.fieldnames}")
-        for row in reader:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != list(RECORD_FIELDS):
+            raise ValueError(f"unexpected record CSV header {header}")
+        for row in filter(None, reader):  # blank lines are skipped
             try:
-                records.append(RobustnessRecord(**{f: _parse_field(f, row[f]) for f in RECORD_FIELDS}))
+                if len(row) != len(RECORD_FIELDS):
+                    raise ValueError(f"expected {len(RECORD_FIELDS)} fields, got {len(row)}")
+                records.append(RobustnessRecord(*(parse(text) for parse, text in zip(_RECORD_PARSERS, row))))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     return records

@@ -1,9 +1,10 @@
-"""Reference P2 sample decoder for the numpy fast path in `inkchannel.imagery`.
+"""Reference P2 sample decoder for the numpy decoder in `inkchannel.imagery`.
 
 This is the token-at-a-time loop that decoded every P2 payload before the
-numpy path existed; it still decodes every payload the numpy path declines.
-The differential test holds the two to the same samples and, for a payload
-either refuses, to the same `NetpbmError` message.
+numpy decoder existed; that decoder now passes only the tokens its digit
+table cannot read through `int()`.  The differential test holds the two to
+the same samples and, for a payload either refuses, to the same
+`NetpbmError` message.
 """
 
 import re

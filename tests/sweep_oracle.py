@@ -4,8 +4,9 @@ This is the object-level cell path the array core replaced: each cell builds
 a ChannelConfig, sends the halftone through `transmit`, and measures the
 result with `image_relative_entropy`, `euclidean_distance` and
 `ink_fraction`.  The differential tests hold `run_sweep` to the same records.
-`kl` is the one-piece relative entropy that `metrics._kl` split into a
-per-task reference and a per-cell score; a differential holds `_kl` to it.
+`kl` is the one-piece relative entropy that `metrics` splits into a
+per-task reference (`_kl_reference`) and a per-cell score (`_kl_from`); a
+differential holds the two composed to it.
 """
 
 import math

@@ -543,6 +543,22 @@ def test_compare_rejects_record_t_and_seed_out_of_rule(capsys, tmp_path, corpus_
     assert f"{out}:3: {fragment}" in stderr and "Traceback" not in stderr
 
 
+@pytest.mark.parametrize(
+    "h_fields, got", [pytest.param(["", ""], 12, id="column-inserted"), pytest.param([], 10, id="column-dropped")]
+)
+def test_compare_rejects_ragged_record_rows(capsys, tmp_path, corpus_dir, h_fields, got):
+    cfg, out = tmp_path / "sweep.cfg", tmp_path / "records.csv"
+    write_config(cfg, corpus_dir)
+    assert run(capsys, "sweep", "--spec", str(cfg), "--out", str(out))[0] == 0
+    lines = out.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[4:5] = h_fields
+    out.write_text("\n".join(lines[:2] + [",".join(fields)] + lines[3:]) + "\n")
+    code, stdout, stderr = run(capsys, "compare", "--records", str(out), "--a", "fs", "--b", "blockd")
+    assert code == 2 and stdout == ""
+    assert f"{out}:3: expected 11 fields, got {got}" in stderr and "Traceback" not in stderr
+
+
 def test_compare_rejects_record_of_unknown_kind(capsys, tmp_path, corpus_dir):
     cfg, out = tmp_path / "sweep.cfg", tmp_path / "records.csv"
     write_config(cfg, corpus_dir)

@@ -329,6 +329,14 @@ def test_netpbm_edge_cases(tmp_path, data, expected):
 
 _P2_TOKEN_BYTES = b"0123456789+-_x\x00\xff"
 _P2_SPACES = b" \t\n\x0b\x0c\r"
+_P2_PLAIN = sorted({str(v).zfill(w).encode() for v in range(256) for w in (1, 2, 3)})
+
+
+def _p2_odd_token(rng) -> bytes:
+    """A token past 255, zero-padded past 3 bytes, or of random bytes."""
+    if rng.random() < 0.5:
+        return str(rng.randint(0, 999)).zfill(rng.randint(1, 5)).encode()
+    return bytes(rng.choices(_P2_TOKEN_BYTES, k=rng.randint(1, 4)))
 
 
 def _p2_payload(rng) -> bytes:
@@ -344,10 +352,8 @@ def _p2_payload(rng) -> bytes:
     for _ in range(rng.randint(0, 11)):
         if rng.random() >= odd:
             parts.append(str(rng.randint(0, 255)).zfill(rng.randint(1, 3)).encode())
-        elif rng.random() < 0.5:
-            parts.append(str(rng.randint(0, 999)).zfill(rng.randint(1, 5)).encode())
         else:
-            parts.append(pick(_P2_TOKEN_BYTES, 1, 4))
+            parts.append(_p2_odd_token(rng))
         roll = rng.random()
         if roll < 0.1:
             parts.append(b"#" + pick(_P2_TOKEN_BYTES + _P2_SPACES, 0, 3) + pick(b"\n", 0, 1))
@@ -366,7 +372,9 @@ def _decoded(decode, text, count):
 
 def test_p2_decode_matches_token_loop():
     """The numpy P2 decode gives the token loop's samples or its error message
-    on 5,000 random payloads and sample counts; both paths must be exercised."""
+    on 5,000 random payloads and sample counts, and on 200 long payloads of plain
+    tokens with up to 3 odd ones; tokens the digit table reads and tokens it passes
+    to int() must both occur."""
     rng = random.Random(13)
     plain = 0
     for _ in range(5000):
@@ -377,6 +385,19 @@ def test_p2_decode_matches_token_loop():
         tokens = re.sub(rb"#[^\n]*", b" ", text).split()[:count]
         plain += len(tokens) == count and all(re.fullmatch(rb"[0-9]{1,3}", t) and int(t) <= 255 for t in tokens)
     assert 1000 < plain < 4000, plain
+    outcomes, plain_tokens = {"samples": 0, "int() samples": 0, "message": 0}, set(_P2_PLAIN)
+    for _ in range(200):
+        n = rng.randint(1000, 5000)
+        tokens = rng.choices(_P2_PLAIN, k=n)
+        for _ in range(rng.randint(0, 3)):
+            tokens[rng.randrange(n)] = _p2_odd_token(rng)
+        text = b"".join(tok + bytes((sep,)) for tok, sep in zip(tokens, rng.choices(_P2_SPACES, k=n)))
+        count = rng.randint(n - 2, n + 1)
+        expected = _decoded(netpbm_oracle.gray_payload, text, count)
+        assert _decoded(lambda t, c: _ascii_payload(t, True, c), text, count) == expected, (text, count)
+        odd_read = any(tok not in plain_tokens for tok in tokens[:count])
+        outcomes["message" if isinstance(expected, str) else "int() samples" if odd_read else "samples"] += 1
+    assert outcomes["message"] >= 100 and outcomes["samples"] >= 20 and outcomes["int() samples"] >= 2, outcomes
 
 
 def test_read_image_types_and_format_restrictions(tmp_path):

@@ -558,6 +558,33 @@ def test_read_records_csv_rejects_nan(tmp_path):
         read_records_csv(path)
 
 
+@pytest.mark.parametrize(
+    "row, got",
+    [
+        pytest.param("fs,a.pgm,bitflip,0.1,,1,1,0.7,0.5,0.0,0.5,0.5", 12, id="column-inserted"),
+        pytest.param("fs,a.pgm,bitflip,0.1,,1,1,0.5,0.0,0.5", 10, id="column-dropped"),
+    ],
+)
+def test_read_records_csv_refuses_ragged_rows(tmp_path, row, got):
+    path = tmp_path / "records.csv"
+    write_records_csv([rec(q=0.25)], path)
+    path.write_text(path.read_text() + row + "\n")
+    with pytest.raises(ValueError, match=rf"records\.csv:3: expected 11 fields, got {got}$"):
+        read_records_csv(path)
+
+
+def test_read_records_csv_skips_blank_lines(tmp_path):
+    records = [rec(q=0.25), rec(algo="blockd", h=3, q=0.5)]
+    path = tmp_path / "records.csv"
+    write_records_csv(records, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0], "", lines[1], "", "", lines[2], ""]) + "\n")
+    assert read_records_csv(path) == records
+    path.write_text(path.read_text() + "fs,a.pgm,bitflip,0.1\n")
+    with pytest.raises(ValueError, match=r"records\.csv:8: expected 11 fields, got 4$"):
+        read_records_csv(path)
+
+
 def test_bitflip_q_matches_bernoulli_kl_oracle():
     # E q ~ KL(Bern(f_in) || Bern(f_in(1-t) + (1-f_in)t)) under ideal flips;
     # t = 0.25 makes the quantized flip probability equal to t exactly
