@@ -170,36 +170,65 @@ def halftone_random(img: GrayImage, seed: int) -> BinaryImage:
     return BinaryImage(u < _darkness(img.pixels))
 
 
+_FS_WAVES = 32  # M, the waves the FS buffer holds
+_FS_WEIGHTS = np.array([0.1875, 0.3125, 0.0625, 0.4375])  # SW, S, SE, E
+
+
+def _fs_bits(pixels: np.ndarray) -> np.ndarray:
+    """Floyd–Steinberg bits (bool) of uint8 pixels (h, w), or of each slice of a same-shape stack (h, w, K).
+
+    One numpy step per wave k = x + 2y.  Pixel (y, x) takes its SE, S, SW and E shares in that order, from
+    waves k-3, k-2, k-1 and k-1, so each step adds SW before E.  A buffer of M waves x (h+1) rows (x K) holds
+    pixel (y, x) at wave k, row y, so a wave is a run of rows.  Its SW, S and SE shares go in one (3, n) add
+    to row y+1 of the next three waves (row h soaks up what passes the bottom), then E to row y of wave k+1;
+    what passes a side lands on a slot off the image, which no wave reads.  Every M - 3 waves the last 3
+    move to the front and the rest take their darkness, read through one view of an image-major copy of the
+    pixels whose [k, y] is flat index k + y(w-2); the bits go out through the same view, so each image's
+    bits are contiguous.  h slots of padding on each side keep every slot of the view in bounds, strides
+    <= 0 at w <= 2 included.
+    """
+    h, w, *stack = pixels.shape
+    per = pixels.size // (h * w)  # K, or 1
+    waves = w + 2 * h - 2
+    flat, out = np.zeros(pixels.size + 2 * h, dtype=np.uint8), np.zeros(pixels.size + 2 * h, dtype=bool)
+    flat[h:-h].reshape(per, h, w)[...] = np.moveaxis(pixels.reshape(h, w, per), -1, 0)
+    light, bits = (
+        np.lib.stride_tricks.as_strided(a[h:], (waves, h, *stack), (1, w - 2, *[h * w] * len(stack)))
+        for a in (flat, out)
+    )
+    m = min(_FS_WAVES, waves + 3)
+    buf = np.zeros((m, h + 1, *stack))
+    rows, next3 = list(buf), [buf[j + 1 : j + 4] for j in range(m - 3)]
+    err, share = np.empty((min(h, w), *stack)), np.empty((4, min(h, w), *stack))  # no wave holds more pixels
+    weights = _FS_WEIGHTS.reshape(4, 1, *[1] * len(stack))
+    ks = np.arange(waves)  # wave k holds rows y_lo <= y < y_hi
+    spans = zip(np.maximum(0, (ks - w + 2) // 2).tolist(), np.minimum(h, ks // 2 + 1).tolist())
+    for k, (wave_bits, (y_lo, y_hi)) in enumerate(zip(bits, spans)):
+        j = k % (m - 3)
+        if j == 0:  # carry the 3 waves that still take shares, then fill the rest with darkness
+            if k:
+                buf[:3] = buf[m - 3 :]
+            lo, hi = 3 if k else 0, min(m, waves - k)
+            fill = buf[lo:hi, :h]
+            np.divide(np.subtract(255.0, light[k + lo : k + hi], out=fill), 255.0, out=fill)
+        n = y_hi - y_lo
+        d = rows[j][y_lo:y_hi]
+        e = np.subtract(d, np.greater_equal(d, 0.5, out=wave_bits[y_lo:y_hi]), out=err[:n])
+        shares = np.multiply(weights, e, out=share[:, :n])
+        below, east = next3[j][:, y_lo + 1 : y_hi + 1], rows[j + 1][y_lo:y_hi]
+        np.add(below, shares[:3], out=below)
+        np.add(east, shares[3], out=east)
+    return np.moveaxis(out[h:-h].reshape(per, h, w), 0, -1).reshape(pixels.shape)
+
+
 def halftone_floyd_steinberg(img: GrayImage) -> BinaryImage:
     """Error diffusion, raster scan, kernel 7/16 E, 3/16 SW, 5/16 S, 1/16 SE.
 
     Works in darkness space; the quantizer emits ink when error-adjusted
-    darkness >= 0.5; error diffused past the border is dropped.
-
-    One numpy step per wave k = x + 2y.  Pixel (y, x) takes its SE, S, SW and
-    E shares in that order, from waves k-3, k-2, k-1 and k-1, so each step adds
-    SW before E.  On a flat buffer zero-padded to (h+1) x (w+2), which takes
-    the error sent past the border, a wave is a slice of stride w.  SW, S and SE
-    go in one add through a window whose row j is the buffer shifted by j (rows
-    never meet: w >= 3, or the wave holds one pixel), then E; SW still leads.
+    darkness >= 0.5; error diffused past the border is dropped.  The kernel
+    is ``_fs_bits``, which also runs a stack of same-shape images at once.
     """
-    h, w = img.height, img.width
-    buf = np.zeros((h + 1) * (w + 2))
-    buf.reshape(h + 1, w + 2)[:h, 1 : w + 1] = _darkness(img.pixels)
-    window = np.lib.stride_tricks.sliding_window_view(buf, 3, writeable=True).T
-    out = np.zeros(buf.size, dtype=bool)  # the compare writes bool without a cast
-    err, share = np.empty(min(h, w)), np.empty((4, min(h, w)))  # no wave holds more pixels
-    weights = np.array([[0.1875], [0.3125], [0.0625], [0.4375]])  # SW, S, SE, E
-    for k in range(w + 2 * h - 2):
-        y_lo, y_hi = max(0, (k - w + 2) // 2), min(h - 1, k // 2)
-        start, stop, n = k + 1 + y_lo * w, k + 2 + y_hi * w, y_hi - y_lo + 1
-        d = buf[start:stop:w]
-        e = np.subtract(d, np.greater_equal(d, 0.5, out=out[start:stop:w]), out=err[:n])
-        shares = np.multiply(weights, e, out=share[:, :n])
-        below, east = window[:, start + w + 1 : stop + w + 1 : w], buf[start + 1 : stop + 1 : w]
-        np.add(below, shares[:3], out=below)
-        np.add(east, shares[3], out=east)
-    return BinaryImage(out.reshape(h + 1, w + 2)[:h, 1 : w + 1])
+    return BinaryImage(_fs_bits(img.pixels))
 
 
 def _screen_halftone(img: GrayImage, screen: np.ndarray) -> BinaryImage:

@@ -14,14 +14,15 @@ import operator
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .channel import (
-    BlockSpec, NoisePower, _block_mask, _channel_bits, _check_kind, _known_kind, _noise_bits, derive_seed
+    _KIND_GATES, BlockSpec, NoisePower, _block_mask, _channel_bits, _check_kind, _known_kind, _noise_bits, derive_seed
 )
-from .halftone import HalftoneSpec, halftone
+from .halftone import HalftoneSpec, _fs_bits, halftone
 from .imagery import HistogramSpec, _check_int, _check_seed, _histogram_bins, read_gray
 from .metrics import _kl_from, _kl_reference
 
@@ -155,63 +156,112 @@ _PARSERS = {"str": str, "float": float, "int": int, "int | None": lambda text: i
 _RECORD_PARSERS = tuple(_PARSERS[f.type] for f in fields(RobustnessRecord))
 
 
-def _run_task(spec: SweepSpec, algo_idx: int, img_idx: int) -> list[RobustnessRecord]:
-    """All (t, rep) cells for one (algorithm, image); the halftone, its gate mask and KL reference are built once.
+_FS_STACK = 16  # images per fs task at most; FS's read-ahead and wave buffer grow with its stacks
 
-    The spec was checked when built, so cells run on plain uint8 arrays.  f_in and
-    f_out are count / n, as ink_fraction computes them; e's count / n equals the
-    mean euclidean_distance takes, since a 0/1 sum is an exact integer.  Where the noise
-    field is the same for every seed, every rep's q, e and f_out are rep 0's; each rep keeps its seed."""
+
+def _fs_run(run: list):
+    """The FS bits of each of a run of same-shape pixel arrays, halftoned as one stack.  The run is
+    emptied, so that the stack holds the only copy of its pixels while FS runs."""
+    if run:
+        stack = np.stack(run, -1)
+        run.clear()
+        bits = _fs_bits(stack)
+        del stack
+        for j in range(bits.shape[-1]):
+            yield bits[..., j].view(np.uint8)
+
+
+def _halftones(alg: HalftoneSpec, paths):
+    """Each image's halftone bits, in order, as the caller takes them; an image that cannot be read or
+    halftoned raises at its turn.
+
+    fs halftones each run of consecutive same-shape images as one stack, so it reads a run ahead of
+    that run's cells; every other algorithm reads and halftones one image at a time through halftone()."""
+    if alg.algorithm != "fs":
+        for path in paths:
+            yield halftone(read_gray(path), alg).bits
+        return
+    run = []
+    for path in paths:
+        try:
+            pixels = read_gray(path).pixels
+        except Exception:
+            yield from _fs_run(run)  # the images before this one take their turns first
+            raise
+        if run and pixels.shape != run[0].shape:
+            yield from _fs_run(run)
+        run.append(pixels)
+    yield from _fs_run(run)
+
+
+def _run_task(spec: SweepSpec, task: tuple) -> list[RobustnessRecord]:
+    """All (image, t, rep) cells for one algorithm over the corpus images start:stop; each image's
+    halftone, gate mask and KL reference are built once.
+
+    The spec was checked when built, so cells run on plain uint8 arrays.  f_in and f_out are
+    count / n, as ink_fraction computes them; e's count / n equals the mean euclidean_distance takes,
+    since a 0/1 sum is an exact integer, and the count is the field's ones for a flip and the ink added
+    for a set1 gate.  Where the noise field is the same for every seed, every rep's q, e and f_out are
+    rep 0's; each rep keeps its seed."""
+    algo_idx, start, stop = task
     alg = spec.algorithms[algo_idx]
-    path = spec.corpus[img_idx]
     label, h = _family(alg)
-    cell = f"algorithm {label!r}, image {path!r}"
-    try:
-        g = halftone(read_gray(path), alg).bits
-    except Exception as exc:
-        raise SweepError(f"sweep aborted at {cell}: {exc}") from exc
-    n, f_in, ref = g.size, np.count_nonzero(g) / g.size, None
-    kind, hist, mask = spec.channel_kind, spec.histogram, spec.block and _block_mask(g, spec.block.size)
-    image_id, n_img, n_t, reps = Path(path).name, len(spec.corpus), len(spec.t_grid), spec.reps
+    kind, hist, n_img, n_t, reps = spec.channel_kind, spec.histogram, len(spec.corpus), len(spec.t_grid), spec.reps
+    flips = _KIND_GATES[kind] == "not"  # a flip changes exactly the field's ones; set1 only adds ink
+    paths = spec.corpus[start:stop]
+    bits = _halftones(alg, paths)
     records = []
-    for ti, t in enumerate(spec.t_grid):
-        # no byte is below 0 and every byte is below 256, so every seed gives the same field
-        fixed = math.ceil(t * 256) in (0, 256)
-        for rep in range(reps):
-            index = ((algo_idx * n_img + img_idx) * n_t + ti) * reps + rep
-            seed = derive_seed(spec.master_seed, index)
-            try:
-                if rep == 0 or not fixed:
-                    gp = _channel_bits(g, _noise_bits(g.shape, t, seed), kind, mask)
-                    if ref is None:  # a misfit histogram fails in the first cell
-                        ref = _kl_reference(_histogram_bins(g, hist), hist.smoothing)
-                    q = _kl_from(ref, _histogram_bins(gp, hist))
-                    e, f_out = math.sqrt(np.count_nonzero(gp != g) / n), np.count_nonzero(gp) / n
-                records.append(RobustnessRecord(label, image_id, kind, t, h, rep, seed, q, e, f_in, f_out))
-            except Exception as exc:
-                raise SweepError(f"sweep aborted at {cell}, t={t!r}, rep={rep}, seed={seed}: {exc}") from exc
+    for img_idx, path in enumerate(paths, start):
+        cell = f"algorithm {label!r}, image {path!r}"
+        try:
+            g = next(bits)
+        except Exception as exc:
+            raise SweepError(f"sweep aborted at {cell}: {exc}") from exc
+        n, ink_in, ref = g.size, np.count_nonzero(g), None
+        f_in, mask, image_id = ink_in / n, spec.block and _block_mask(g, spec.block.size), Path(path).name
+        for ti, t in enumerate(spec.t_grid):
+            # no byte is below 0 and every byte is below 256, so every seed gives the same field
+            fixed = math.ceil(t * 256) in (0, 256)
+            for rep in range(reps):
+                index = ((algo_idx * n_img + img_idx) * n_t + ti) * reps + rep
+                seed = derive_seed(spec.master_seed, index)
+                try:
+                    if rep == 0 or not fixed:
+                        v = _noise_bits(g.shape, t, seed)
+                        gp = _channel_bits(g, v, kind, mask)
+                        if ref is None:  # a misfit histogram fails in the first cell
+                            ref = _kl_reference(_histogram_bins(g, hist), hist.smoothing)
+                        q, ink = _kl_from(ref, _histogram_bins(gp, hist)), np.count_nonzero(gp)
+                        e = math.sqrt((np.count_nonzero(v) if flips else ink - ink_in) / n)
+                        f_out = ink / n
+                    records.append(RobustnessRecord(label, image_id, kind, t, h, rep, seed, q, e, f_in, f_out))
+                except Exception as exc:
+                    raise SweepError(f"sweep aborted at {cell}, t={t!r}, rep={rep}, seed={seed}: {exc}") from exc
     return records
-
-
-def _run_task_star(args) -> list[RobustnessRecord]:
-    return _run_task(*args)
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[RobustnessRecord]:
     """One record per (algorithm, image, t, rep), in canonical order.
 
-    ``jobs`` > 1 distributes (algorithm, image) tasks across at most that many
-    processes; the output is identical for every jobs value.
+    A task is one image for most algorithms, and for fs a run of consecutive images that it halftones
+    as stacks; ``jobs`` > 1 distributes the tasks across at most that many processes.  A cell's seed
+    index is its canonical place, so the output is identical for every jobs value.
     """
     if _check_int(jobs, "jobs") < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    tasks = [(spec, ai, ii) for ai in range(len(spec.algorithms)) for ii in range(len(spec.corpus))]
+    n_img = len(spec.corpus)
+    fs_run = min(_FS_STACK, -(-n_img // jobs))  # as large a stack as leaves fs alone a task per worker
+    tasks = []
+    for ai, alg in enumerate(spec.algorithms):
+        step = fs_run if alg.algorithm == "fs" else 1
+        tasks += [(ai, start, start + step) for start in range(0, n_img, step)]
+    task = partial(_run_task, spec)
     workers = min(jobs, len(tasks))  # a pool starts all its workers up front
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_task_star, tasks))
+            chunks = list(pool.map(task, tasks))
     else:
-        chunks = [_run_task_star(t) for t in tasks]
+        chunks = list(map(task, tasks))
     return [rec for chunk in chunks for rec in chunk]
 
 

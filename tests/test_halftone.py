@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from inkchannel import GrayImage, HalftoneSpec, halftone, screen_catalog
 from inkchannel.halftone import (
+    _fs_bits,
     bayer_matrix,
     clustered_dot_matrix,
     dot_diffusion_classes,
@@ -274,6 +275,23 @@ def test_vector_kernels_match_scalar_oracle(palette):
         assert np.array_equal(halftone_dot_diffusion(img).bits, halftone_oracle.dot_diffusion(img)), (height, width)
         for h in (int(rng.integers(1, 9)), int(rng.integers(1, max(height, width) + 5))):
             assert np.array_equal(halftone_block_d(img, h).bits, halftone_oracle.block_d(img, h)), (height, width, h)
+
+
+def test_fs_stack_matches_scalar_oracle_slice_by_slice():
+    """_fs_bits over a stack of K = 1-5 same-shape images, each slice of its own palette, gives every
+    slice the scalar loop's bits: K = 1-5 on each edge shape, random K on 60 shapes of 1-40 px a side."""
+    rng = np.random.Generator(np.random.PCG64(17))
+    stacks = [(shape, k) for shape in EDGE_SHAPES for k in range(1, 6)]
+    stacks += [(tuple(rng.integers(1, 41, size=2)), int(rng.integers(1, 6))) for _ in range(60)]
+    for (height, width), k in stacks:
+        slices = []
+        for values in (PALETTES[name] for name in rng.choice(sorted(PALETTES), size=k)):
+            drawn = rng.integers(0, 256, size=(height, width)) if values is None else rng.choice(values, size=(height, width))
+            slices.append(drawn.astype(np.uint8))
+        bits = _fs_bits(np.stack(slices, axis=-1))
+        assert bits.shape == (height, width, k)
+        for j, pixels in enumerate(slices):
+            assert np.array_equal(bits[..., j], halftone_oracle.floyd_steinberg(GrayImage(pixels))), (height, width, k, j)
 
 
 @pytest.mark.parametrize("rows, bits", [

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,11 +258,79 @@ def test_sweep_core_fails_where_the_oracle_fails(oracle_corpora):
     assert "t=0.5, rep=0" in str(core.value)
 
 
+@pytest.mark.parametrize("kind, block", ORACLE_CHANNELS)
+def test_interleaved_shapes_match_object_oracle(oracle_corpora, tmp_path, kind, block):
+    """A corpus whose shapes interleave (131x97, 5x120, a second 131x97, 1x1) gives the object path's
+    records at jobs 1 and 2: FS stacks each shape's images, the other algorithms go one at a time."""
+    second = tmp_path / "second-131x97.pgm"
+    write_gray(GrayImage(np.random.default_rng(8).integers(0, 256, (97, 131), dtype=np.uint8)), second)
+    corpus = (*oracle_corpora["ragged"], str(second), oracle_corpora["tiny"][0])
+    spec = oracle_spec(corpus, kind, block, ("binary", None, None), 1e-9, t_grid=(0.0, 0.3, 1.0))
+    spec = dataclasses.replace(spec, algorithms=(HalftoneSpec("fs"), HalftoneSpec("dotdif"), HalftoneSpec("blockd", h=3)))
+    records = run_sweep(spec)
+    assert records == sweep_oracle.run_sweep(spec)
+    assert records == run_sweep(spec, jobs=2)
+
+
+@pytest.mark.parametrize("fs_stack", (1, 2, 16))
+def test_fs_runs_and_task_splits_match_object_oracle(oracle_corpora, tmp_path, monkeypatch, fs_stack):
+    """Runs of consecutive same-shape images (three 131x97, 5x120, two 1x1, 131x97) give the object path's
+    records whatever the fs task size: stacks of 1, 2 and up to 16 images at jobs 1, and jobs 2 and 3,
+    where fs splits the corpus into a task per worker."""
+    monkeypatch.setattr(robustness, "_FS_STACK", fs_stack)
+    ragged, tiny = oracle_corpora["ragged"], oracle_corpora["tiny"][0]
+    extra = []
+    for i, shape in enumerate(((97, 131), (97, 131), (1, 1), (97, 131))):
+        extra.append(str(tmp_path / f"extra{i}-{shape[1]}x{shape[0]}.pgm"))
+        write_gray(GrayImage(np.random.default_rng(20 + i).integers(0, 256, shape, dtype=np.uint8)), extra[-1])
+    corpus = (ragged[0], extra[0], extra[1], ragged[1], tiny, extra[2], extra[3])
+    spec = oracle_spec(corpus, "erase", None, ("binary", None, None), 1e-9, t_grid=(0.3,))
+    expected = sweep_oracle.run_sweep(spec)
+    for jobs in (1, 2, 3):
+        assert run_sweep(spec, jobs=jobs) == expected, jobs
+
+
+def test_fs_sweep_memory_does_not_grow_with_the_corpus(tmp_path, monkeypatch):
+    """An fs sweep holds one stack of pixels and bits at a time: its tracemalloc peak over 24 same-shape
+    images stays near its peak over 4."""
+    monkeypatch.setattr(robustness, "_FS_STACK", 2)
+    corpus = []
+    for i in range(24):
+        corpus.append(str(tmp_path / f"scene{i:02d}.pgm"))
+        write_gray(GrayImage(np.random.default_rng(i).integers(0, 256, (96, 96), dtype=np.uint8)), corpus[-1])
+    peaks = []
+    for n in (4, 24):
+        spec = dataclasses.replace(
+            oracle_spec(tuple(corpus[:n]), "bitflip", None, ("binary", None, None), None, t_grid=(0.5,)),
+            algorithms=(HalftoneSpec("fs"),), reps=1,
+        )
+        tracemalloc.start()
+        run_sweep(spec)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 1.2 * peaks[0], peaks
+
+
+def test_first_failure_in_canonical_order_is_reported(oracle_corpora, tmp_path):
+    """Image 0 fails in its first cell (a histogram tile larger than 1x1) and image 1 cannot be read: FS
+    reads the whole corpus first, yet the error names image 0's cell, as the object path's does."""
+    corpus = (oracle_corpora["tiny"][0], str(tmp_path / "ghost.pgm"))
+    spec = oracle_spec(corpus, "bitflip", None, ("block", 8, 16), None, t_grid=(0.5,))
+    with pytest.raises(SweepError) as oracle:
+        sweep_oracle.run_sweep(spec)
+    for jobs in (1, 2):
+        with pytest.raises(SweepError) as core:
+            run_sweep(spec, jobs=jobs)
+        assert str(core.value) == str(oracle.value)
+    assert "tiny-1x1.pgm', t=0.5, rep=0" in str(oracle.value)
+
+
 @pytest.mark.parametrize("histogram", (("binary", None, None), ("block", 8, 16)))
 @pytest.mark.parametrize("kind, block", (("bitflip", None), ("erase", None), ("block-erase", 3)))
 def test_draw_free_cells_match_oracle_and_jobs(oracle_corpora, kind, block, histogram):
-    """At t = 0, 0.999 and 1 the noise field takes no draw and the core reuses rep 0's cell, while
-    255/256 is the last t that draws; the records equal the object path's, at jobs 1 and 2, one seed per rep."""
+    """At t = 0, 0.999 and 1 every seed gives the same noise field, so rep 0 draws and the core's later reps
+    reuse its cell, while 255/256 is the last t whose reps each draw; the records equal the object path's,
+    at jobs 1 and 2, one seed per rep."""
     spec = oracle_spec(oracle_corpora["ragged"], kind, block, histogram, None, t_grid=(0.0, 255 / 256, 0.999, 1.0))
     spec = dataclasses.replace(spec, reps=3)
     records = run_sweep(spec)
