@@ -269,13 +269,20 @@ def cmd_entropy_curve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    with _named("--out"):  # a path with no file name, such as '.', has no .agg.csv or .meta.json sibling
+        agg_path = args.agg_out if args.agg_out else str(Path(args.out).with_suffix(".agg.csv"))
+        meta_path = str(Path(args.out).with_suffix(".meta.json"))
+    # checked before the sweep runs: outputs on one path would overwrite each other
+    outputs = {"--out": args.out, "--agg-out": agg_path, "the metadata path of --out": meta_path}
+    resolved = [Path(path).resolve() for path in outputs.values()]
+    clashing = [flag for flag, path in zip(outputs, resolved) if resolved.count(path) > 1]
+    if clashing:
+        raise ValueError(f"{' and '.join(clashing)} name the same file {outputs[clashing[0]]}")
     spec = parse_sweep_config(args.spec)
     records = robustness.run_sweep(spec, jobs=args.jobs)
     robustness.write_records_csv(records, args.out)
-    agg_path = args.agg_out if args.agg_out else str(Path(args.out).with_suffix(".agg.csv"))
     aggregates = robustness.corpus_average(records)
     robustness.write_aggregates_csv(aggregates, agg_path)
-    meta_path = str(Path(args.out).with_suffix(".meta.json"))
     _write_sweep_meta(spec, meta_path)
 
     print(f"records: {args.out} ({len(records)} rows)")
@@ -346,11 +353,7 @@ def cmd_screens(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="inkchannel", description=__doc__)
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("halftone", help="halftone a PGM into a PBM")
+def _halftone_args(p) -> None:
     p.add_argument("--algo", required=True, choices=ALGORITHMS)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
@@ -358,65 +361,88 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=float, default=None, help="threshold level in [0,1]")
     p.add_argument("--order", type=int, default=None, help="bayer/cdot matrix order")
     p.add_argument("--seed", type=int, default=None, help="seed (required for random)")
-    p.set_defaults(func=cmd_halftone)
 
-    p = sub.add_parser("noise", help="generate a raw noise field as PBM")
+
+def _noise_args(p) -> None:
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--power", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_noise)
 
-    p = sub.add_parser("transmit", help="send a PBM through the noisy channel")
+
+def _transmit_args(p) -> None:
     p.add_argument("--kind", required=True, choices=channel.CHANNEL_KINDS)
     p.add_argument("--power", type=float, required=True)
     p.add_argument("--block", type=int, default=None, help="block size (block-erase only)")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=cmd_transmit)
 
-    p = sub.add_parser("metric", help="print a distortion/information measure")
+
+def _metric_args(p) -> None:
     p.add_argument("--name", required=True, choices=("euclid", "kl", "entropy"))
     p.add_argument("--a", required=True)
     p.add_argument("--b", default=None)
     p.add_argument("--hist", default="binary", help="binary | block:<size>x<bins>")
     p.add_argument("--smoothing", default="none", help="none | additive:<lambda>")
-    p.set_defaults(func=cmd_metric)
 
-    p = sub.add_parser("entropy-curve", help="mean noise entropy over a power grid")
+
+def _entropy_curve_args(p) -> None:
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--t-grid", required=True, help="comma-separated powers")
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="CSV output path")
-    p.set_defaults(func=cmd_entropy_curve)
 
-    p = sub.add_parser("sweep", help="run a robustness sweep from a config file")
+
+def _sweep_args(p) -> None:
     p.add_argument("--spec", required=True, help="sweep config file")
     p.add_argument("--out", required=True, help="record CSV output path")
     p.add_argument("--agg-out", default=None, help="aggregate CSV path (default: <out>.agg.csv)")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers (result is jobs-invariant)")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("compare", help="pairwise robustness verdicts from a record CSV")
+
+def _compare_args(p) -> None:
     p.add_argument("--records", required=True)
     p.add_argument("--a", required=True, help="first algorithm label")
     p.add_argument("--b", required=True, help="second algorithm label")
     p.add_argument("--h-a", type=int, default=None, help="h for the first side (blockd)")
     p.add_argument("--h-b", type=int, default=None, help="h for the second side (blockd)")
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("screens", help="print all compiled-in screen/class matrices")
-    p.set_defaults(func=cmd_screens)
 
+# verb -> (help, function that adds its arguments, command); usage and --help list the verbs in this order
+VERBS = {
+    "halftone": ("halftone a PGM into a PBM", _halftone_args, cmd_halftone),
+    "noise": ("generate a raw noise field as PBM", _noise_args, cmd_noise),
+    "transmit": ("send a PBM through the noisy channel", _transmit_args, cmd_transmit),
+    "metric": ("print a distortion/information measure", _metric_args, cmd_metric),
+    "entropy-curve": ("mean noise entropy over a power grid", _entropy_curve_args, cmd_entropy_curve),
+    "sweep": ("run a robustness sweep from a config file", _sweep_args, cmd_sweep),
+    "compare": ("pairwise robustness verdicts from a record CSV", _compare_args, cmd_compare),
+    "screens": ("print all compiled-in screen/class matrices", lambda p: None, cmd_screens),
+}
+
+
+def build_parser(verbs=tuple(VERBS)) -> argparse.ArgumentParser:
+    """The top-level parser with a subparser for each of ``verbs`` (default: every verb)."""
+    parser = argparse.ArgumentParser(prog="inkchannel", description=__doc__)
+    # however few verbs are built, the usage line argparse prints for a stray argument lists them all
+    metavar = None if len(verbs) == len(VERBS) else "{" + ",".join(VERBS) + "}"
+    sub = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
+    for verb in verbs:
+        help_text, add_arguments, command = VERBS[verb]
+        p = sub.add_parser(verb, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=command)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command line; a line that starts with a verb builds only that verb's parser."""
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[:1]) if argv and argv[0] in VERBS else build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from inkchannel import ALGORITHMS, BinaryImage, HistogramSpec, channel, read_binary, read_gray, write_binary, write_gray
-from inkchannel.cli import _parse_algorithm_token, format_scalar, main, parse_sweep_config
+from inkchannel import cli
+from inkchannel.cli import _parse_algorithm_token, build_parser, format_scalar, main, parse_sweep_config
 
 from conftest import constant_gray
 
@@ -465,6 +466,35 @@ def test_sweep_missing_config_exit_3(capsys, tmp_path):
     assert str(cfg) in stderr and "Traceback" not in stderr
 
 
+@pytest.mark.parametrize(
+    "out, agg_out, named",
+    [
+        ("r.csv", "r.csv", "--out and --agg-out"),
+        ("r.csv", "./sub/../r.csv", "--out and --agg-out"),
+        ("r.csv", "r.meta.json", "--agg-out and the metadata path of --out"),
+    ],
+)
+def test_sweep_refuses_outputs_that_overwrite_each_other(capsys, tmp_path, monkeypatch, corpus_dir, out, agg_out, named):
+    """The records, aggregates and meta.json paths must name three files; a clash is refused before any cell runs."""
+    write_config(tmp_path / "sweep.cfg", corpus_dir, algorithms="fs")
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.robustness, "run_sweep", lambda *a, **k: pytest.fail("the sweep ran"))
+    code, stdout, stderr = run(capsys, "sweep", "--spec", "sweep.cfg", "--out", out, "--agg-out", agg_out)
+    assert code == 2 and stdout == ""
+    assert f"error: {named} name the same file" in stderr and "Traceback" not in stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub", "sweep.cfg"]
+
+
+def test_sweep_refuses_out_without_file_name(capsys, tmp_path, monkeypatch, corpus_dir):
+    write_config(tmp_path / "sweep.cfg", corpus_dir, algorithms="fs")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.robustness, "run_sweep", lambda *a, **k: pytest.fail("the sweep ran"))
+    code, stdout, stderr = run(capsys, "sweep", "--spec", "sweep.cfg", "--out", ".")
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error: --out: ") and "Traceback" not in stderr
+
+
 def test_sweep_zero_noise_rows_present(capsys, tmp_path, corpus_dir):
     cfg = tmp_path / "sweep.cfg"
     write_config(cfg, corpus_dir, algorithms="fs")
@@ -597,6 +627,86 @@ def test_unknown_flag_exit_2(capsys, tmp_path):
 
 def test_unknown_verb_exit_2(capsys):
     assert run(capsys, "telepathy")[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# one parser per call: a command line that starts with a verb builds only that verb
+# ---------------------------------------------------------------------------
+
+# a complete command line per verb, and a value its parser refuses (a bad choice or type)
+COMPLETE_ARGS = {
+    "halftone": ["--algo", "fs", "--input", "a.pgm", "--output", "b.pbm"],
+    "noise": ["--width", "4", "--height", "4", "--power", "0.1", "--seed", "1", "--output", "n.pbm"],
+    "transmit": ["--kind", "bitflip", "--power", "0.1", "--seed", "1", "--input", "a.pbm", "--output", "b.pbm"],
+    "metric": ["--name", "kl", "--a", "a.pbm", "--b", "b.pbm"],
+    "entropy-curve": ["--width", "4", "--height", "4", "--t-grid", "0.1", "--reps", "1", "--seed", "1", "--out", "e.csv"],
+    "sweep": ["--spec", "s.cfg", "--out", "r.csv"],
+    "compare": ["--records", "r.csv", "--a", "fs", "--b", "blockd"],
+    "screens": [],
+}
+BAD_VALUE = {
+    "halftone": ["--algo", "psychedelic"],
+    "noise": ["--width", "wide"],
+    "transmit": ["--kind", "smudge"],
+    "metric": ["--name", "psnr"],
+    "entropy-curve": ["--reps", "many"],
+    "sweep": ["--jobs", "all"],
+    "compare": ["--h-a", "tall"],
+    "screens": ["--rows", "4"],
+}
+ALL_VERBS = tuple(COMPLETE_ARGS)
+PARSE_EXITS = [[], ["--help"], ["telepathy"], ["-x"], ["--help", "halftone"]] + [
+    argv
+    for verb in ALL_VERBS
+    for argv in (
+        [verb, "--help"],
+        [verb, "--bogus"],
+        [verb, *BAD_VALUE[verb]],
+        [verb, *COMPLETE_ARGS[verb], "extra"],
+        *([[verb]] if COMPLETE_ARGS[verb] else []),  # a bare screens is a complete command
+    )
+]
+
+
+def test_verb_table_lists_every_verb_in_order():
+    assert tuple(cli.VERBS) == ALL_VERBS
+
+
+@pytest.mark.parametrize("argv", PARSE_EXITS, ids=" ".join)
+def test_main_parses_like_the_full_parser(capsys, monkeypatch, argv):
+    """Whatever parser main builds, its exit code, stdout and stderr are those of the full parser."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    full = (int(exc.value.code or 0), *capsys.readouterr())
+    assert run(capsys, *argv) == full
+
+
+def test_stray_argument_usage_lists_every_verb(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, stdout, stderr = run(capsys, "screens", "extra")
+    assert code == 2 and stdout == ""
+    assert "{" + ",".join(ALL_VERBS) + "}" in stderr
+    assert "unrecognized arguments: extra" in stderr
+
+
+def test_one_verb_command_line_builds_one_verb(monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda verbs=ALL_VERBS: built.append(tuple(verbs)) or build_parser(verbs))
+    assert main(["screens"]) == 0
+    assert main(["--help"]) == 0 and main(["telepathy"]) == 2
+    assert built == [("screens",), ALL_VERBS, ALL_VERBS]
+
+
+def test_console_script_reads_sys_argv(capsys, monkeypatch):
+    """main() with no argv parses sys.argv[1:], as the installed inkchannel script calls it."""
+    expected = run(capsys, "screens")
+    monkeypatch.setattr(sys, "argv", ["inkchannel", "screens"])
+    assert main() == 0
+    assert (0, *capsys.readouterr()) == expected
+    monkeypatch.setattr(sys, "argv", ["inkchannel"])
+    assert main() == 2
+    assert "the following arguments are required: verb" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
