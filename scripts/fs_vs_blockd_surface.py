@@ -1,61 +1,45 @@
 #!/usr/bin/env python3
 """Robustness difference surface: error diffusion versus block halftoning.
 
-Sweeps FS and BLOCKD (h over a grid) through the bit-flip channel on a corpus
-and writes the mean-q difference surface over (t, h).  Positive entries mark
-where the block algorithm is more robust than error diffusion.
+Reads the records CSV that `inkchannel sweep` writes for a config whose algorithms are one
+non-blockd family (such as fs) and blockd over a grid of h, and writes the mean-q difference
+surface over (t, h): that family's mean q minus blockd's.  Positive entries mark where the block
+algorithm is more robust.  The sweep config sets the corpus, noise kind, t grid, reps, seed,
+histogram and smoothing.  A file that is not such a records CSV exits 2; an I/O error exits 3.
 """
 
 import argparse
-from pathlib import Path
+import sys
 
-from inkchannel import HalftoneSpec, HistogramSpec, SweepSpec, run_sweep, write_records_csv
-from inkchannel.robustness import difference_surface
+from inkchannel.cli import EXIT_IO, EXIT_USAGE
+from inkchannel.robustness import difference_surface, read_records_csv
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--corpus", required=True, help="directory of .pgm images")
-    parser.add_argument("--t-grid", default="0,0.05,0.1,0.15,0.2,0.25,0.3")
-    parser.add_argument("--h-grid", default="3,5,7,11,15,19,25,31")
-    parser.add_argument("--reps", type=int, default=4)
-    parser.add_argument("--seed", type=int, default=5)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--records", required=True, help="records CSV written by inkchannel sweep")
     parser.add_argument("--out", default="surface.csv")
-    parser.add_argument("--records-out", default=None, help="optional raw record CSV")
     args = parser.parse_args()
 
-    corpus = tuple(sorted(str(p) for p in Path(args.corpus).glob("*.pgm")))
-    if not corpus:
-        raise SystemExit(f"no .pgm files in {args.corpus}")
-    t_grid = tuple(float(t) for t in args.t_grid.split(","))
-    h_grid = tuple(int(h) for h in args.h_grid.split(","))
-
-    spec = SweepSpec(
-        algorithms=(HalftoneSpec("fs"),) + tuple(HalftoneSpec("blockd", h=h) for h in h_grid),
-        channel_kind="bitflip",
-        t_grid=t_grid,
-        reps=args.reps,
-        histogram=HistogramSpec(smoothing=1e-9),
-        master_seed=args.seed,
-        corpus=corpus,
-    )
-    records = run_sweep(spec, jobs=args.jobs)
-    if args.records_out:
-        write_records_csv(records, args.records_out)
-
-    fs = [r for r in records if r.algo == "fs"]
-    blockd = [r for r in records if r.algo == "blockd"]
-    t_vals, h_vals, surface = difference_surface(fs, blockd)
-
-    with open(args.out, "w") as fh:
-        fh.write("t," + ",".join(f"h{h}" for h in h_vals) + "\n")
-        for t, row in zip(t_vals, surface):
-            fh.write(f"{t!r}," + ",".join(repr(float(v)) for v in row) + "\n")
-    print(f"wrote {args.out} ({len(t_vals)}x{len(h_vals)} surface over {len(corpus)} images)")
-    positive = int((surface > 0).sum())
-    print(f"blockd more robust in {positive}/{surface.size} cells")
+    try:
+        records = read_records_csv(args.records)
+        blockd = [r for r in records if r.algo == "blockd"]
+        t_vals, h_vals, surface = difference_surface([r for r in records if r.algo != "blockd"], blockd)
+        with open(args.out, "w") as fh:
+            fh.write("t," + ",".join(f"h{h}" for h in h_vals) + "\n")
+            for t, row in zip(t_vals, surface):
+                fh.write(f"{t!r}," + ",".join(repr(float(v)) for v in row) + "\n")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    n_images = len({r.image for r in records})
+    print(f"wrote {args.out} ({len(t_vals)}x{len(h_vals)} surface over {n_images} images)")
+    print(f"blockd more robust in {int((surface > 0).sum())}/{surface.size} cells")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

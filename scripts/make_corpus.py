@@ -25,11 +25,18 @@ def synth_scene(width, height, seed):
     return GrayImage(np.clip(np.rint(img), 0, 255).astype(np.uint8))
 
 
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="corpus", help="output directory (default: corpus)")
-    parser.add_argument("--count", type=int, default=8)
-    parser.add_argument("--size", type=int, default=256, help="image side length")
+    parser.add_argument("--count", type=positive_int, default=8)
+    parser.add_argument("--size", type=positive_int, default=256, help="image side length")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 

@@ -13,21 +13,28 @@ import argparse
 from inkchannel import (
     HistogramSpec,
     NoisePower,
+    apply_gate,
     derive_seed,
     euclidean_distance,
     gen_noise,
     image_relative_entropy,
     read_gray,
-    transmit_bitflip,
 )
 from inkchannel.halftone import halftone_floyd_steinberg
+
+
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--image", required=True, help="grayscale PGM input")
-    parser.add_argument("--steps", type=int, default=19, help="grid points over (0, 1)")
-    parser.add_argument("--reps", type=int, default=16)
+    parser.add_argument("--steps", type=positive_int, default=19, help="grid points over (0, 1)")
+    parser.add_argument("--reps", type=positive_int, default=16)
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--out", default="noise_distance.csv")
     args = parser.parse_args()
@@ -46,7 +53,7 @@ def main():
             for rep in range(args.reps):
                 seed = derive_seed(args.seed, k * args.reps + rep)
                 v = gen_noise(g.width, g.height, power, seed)
-                gp = transmit_bitflip(g, power, seed)
+                gp = apply_gate(v, g, "not")  # the bit-flip channel on the field v
                 e += euclidean_distance(v, g)
                 q_v += image_relative_entropy(g, v, spec)
                 q_g += image_relative_entropy(g, gp, spec)

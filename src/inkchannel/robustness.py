@@ -19,9 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (
-    _KIND_GATES, BlockSpec, NoisePower, _block_mask, _channel_bits, _check_kind, _known_kind, _noise_bits, derive_seed
-)
+from .channel import (_KIND_GATES, BlockSpec, NoisePower, _block_mask, _channel_bits, _check_kind, _known_kind,
+                      _noise_bits, derive_seed, noise_density)
 from .halftone import HalftoneSpec, _fs_bits, halftone
 from .imagery import HistogramSpec, _check_int, _check_seed, _histogram_bins, read_gray
 from .metrics import _kl_from, _kl_reference
@@ -220,8 +219,8 @@ def _run_task(spec: SweepSpec, task: tuple) -> list[RobustnessRecord]:
         n, ink_in, ref = g.size, np.count_nonzero(g), None
         f_in, mask, image_id = ink_in / n, spec.block and _block_mask(g, spec.block.size), Path(path).name
         for ti, t in enumerate(spec.t_grid):
-            # no byte is below 0 and every byte is below 256, so every seed gives the same field
-            fixed = math.ceil(t * 256) in (0, 256)
+            # the achieved density is 0 or 1 (no byte or every byte is below the threshold): one field for every seed
+            fixed = noise_density(NoisePower(t)) in (0.0, 1.0)
             for rep in range(reps):
                 index = ((algo_idx * n_img + img_idx) * n_t + ti) * reps + rep
                 seed = derive_seed(spec.master_seed, index)
