@@ -11,7 +11,7 @@ histogram and smoothing.  A file that is not such a records CSV exits 2; an I/O 
 import argparse
 import sys
 
-from inkchannel.cli import EXIT_IO, EXIT_USAGE
+from inkchannel.cli import run_command
 from inkchannel.robustness import difference_surface, read_records_csv
 
 
@@ -19,22 +19,17 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--records", required=True, help="records CSV written by inkchannel sweep")
     parser.add_argument("--out", default="surface.csv")
-    args = parser.parse_args()
+    return run_command(write_surface, parser.parse_args())
 
-    try:
-        records = read_records_csv(args.records)
-        blockd = [r for r in records if r.algo == "blockd"]
-        t_vals, h_vals, surface = difference_surface([r for r in records if r.algo != "blockd"], blockd)
-        with open(args.out, "w") as fh:
-            fh.write("t," + ",".join(f"h{h}" for h in h_vals) + "\n")
-            for t, row in zip(t_vals, surface):
-                fh.write(f"{t!r}," + ",".join(repr(float(v)) for v in row) + "\n")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+
+def write_surface(args):
+    records = read_records_csv(args.records)
+    blockd = [r for r in records if r.algo == "blockd"]
+    t_vals, h_vals, surface = difference_surface([r for r in records if r.algo != "blockd"], blockd)
+    with open(args.out, "w") as fh:
+        fh.write("t," + ",".join(f"h{h}" for h in h_vals) + "\n")
+        for t, row in zip(t_vals, surface):
+            fh.write(f"{t!r}," + ",".join(repr(float(v)) for v in row) + "\n")
     n_images = len({r.image for r in records})
     print(f"wrote {args.out} ({len(t_vals)}x{len(h_vals)} surface over {n_images} images)")
     print(f"blockd more robust in {int((surface > 0).sum())}/{surface.size} cells")

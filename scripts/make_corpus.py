@@ -3,14 +3,17 @@
 
 Each image is a band-limited random field (a sum of cosine waves) with its
 own derived seed, so the corpus is reproducible from (--seed, --count).
+A bad --seed exits 2; an --out that cannot be made a directory exits 3.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from inkchannel import GrayImage, derive_seed, write_gray
+from inkchannel.cli import run_command
 
 
 def synth_scene(width, height, seed):
@@ -38,16 +41,21 @@ def main():
     parser.add_argument("--count", type=positive_int, default=8)
     parser.add_argument("--size", type=positive_int, default=256, help="image side length")
     parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args()
+    return run_command(write_corpus, parser.parse_args())
 
+
+def write_corpus(args):
+    seeds = [derive_seed(args.seed, i) for i in range(args.count)]  # a bad seed fails before --out is made
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for i in range(args.count):
-        img = synth_scene(args.size, args.size, derive_seed(args.seed, i))
+    for i, seed in enumerate(seeds):
+        img = synth_scene(args.size, args.size, seed)
         path = out / f"scene{i:02d}.pgm"
         write_gray(img, path)
         print(f"{path}  mean lightness {img.pixels.mean():.1f}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    if code := main():  # success falls off the end, so runpy callers need not catch SystemExit
+        sys.exit(code)

@@ -3,7 +3,7 @@
 Verbs: halftone, noise, transmit, metric, entropy-curve, sweep, compare,
 screens.  Exit codes are a stable scripting contract: 0 success, 2 usage or
 config error, 3 I/O error.  Every randomized command requires an explicit
---seed; nothing is drawn from system entropy.
+seed; nothing is drawn from system entropy.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from decimal import Decimal
 from pathlib import Path
 
 from . import channel, imagery, metrics, robustness
-from .halftone import ALGORITHMS, HalftoneSpec, halftone, screen_catalog
+from .halftone import HalftoneSpec, halftone, screen_catalog
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -192,11 +192,8 @@ def parse_sweep_config(path) -> robustness.SweepSpec:
 # ---------------------------------------------------------------------------
 
 def cmd_halftone(args) -> int:
-    if args.algo == "blockd" and args.h is None:
-        raise ValueError("--h is required for --algo blockd")
-    if args.algo == "random" and args.seed is None:
-        raise ValueError("--seed is required for --algo random")
-    spec = HalftoneSpec(algorithm=args.algo, h=args.h, level=args.level, seed=args.seed, matrix_order=args.order)
+    with _named("--algo"):
+        spec = _parse_algorithm_token(args.algo)
     img = imagery.read_gray(args.input)
     out = halftone(img, spec)
     imagery.write_binary(out, args.output)
@@ -320,8 +317,8 @@ def _write_sweep_meta(spec: robustness.SweepSpec, path: str) -> None:
 
 def cmd_compare(args) -> int:
     records = robustness.read_records_csv(args.records)
-    side_a = _select_family(records, args.a, args.h_a, "--a")
-    side_b = _select_family(records, args.b, args.h_b, "--b")
+    side_a = _select_family(records, args.a, "--a")
+    side_b = _select_family(records, args.b, "--b")
     for v in robustness.compare(side_a, side_b):
         print(
             f"t={format_scalar(v.t)}: {v.algo_k} mean_q={format_scalar(v.mean_k)}  "
@@ -330,12 +327,13 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _select_family(records, label: str, h: int | None, flag: str):
-    selected = [r for r in records if r.algo == label and (h is None or r.h == h)]
-    if not selected:
-        raise ValueError(f"{flag}: no records for algorithm {label!r}" + (f" with h={h}" if h is not None else ""))
-    if h is None and len({r.h for r in selected}) > 1:
-        raise ValueError(f"{flag}: algorithm {label!r} has several h values; pick one with {flag.replace('--', '--h-')}")
+def _select_family(records, token: str, flag: str):
+    """The records of the (algo, h) family that ``token`` names."""
+    with _named(flag):
+        family = robustness._family(_parse_algorithm_token(token))
+        selected = [r for r in records if (r.algo, r.h) == family]
+        if not selected:
+            raise ValueError(f"no records for algorithm {token!r}")
     return selected
 
 
@@ -354,13 +352,9 @@ def cmd_screens(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _halftone_args(p) -> None:
-    p.add_argument("--algo", required=True, choices=ALGORITHMS)
+    p.add_argument("--algo", required=True, help="a sweep config algorithm token: fs, blockd:h=19, ...")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--h", type=int, default=None, help="blockd tile size")
-    p.add_argument("--level", type=float, default=None, help="threshold level in [0,1]")
-    p.add_argument("--order", type=int, default=None, help="bayer/cdot matrix order")
-    p.add_argument("--seed", type=int, default=None, help="seed (required for random)")
 
 
 def _noise_args(p) -> None:
@@ -406,10 +400,8 @@ def _sweep_args(p) -> None:
 
 def _compare_args(p) -> None:
     p.add_argument("--records", required=True)
-    p.add_argument("--a", required=True, help="first algorithm label")
-    p.add_argument("--b", required=True, help="second algorithm label")
-    p.add_argument("--h-a", type=int, default=None, help="h for the first side (blockd)")
-    p.add_argument("--h-b", type=int, default=None, help="h for the second side (blockd)")
+    p.add_argument("--a", required=True, help="first algorithm, a token as in halftone --algo")
+    p.add_argument("--b", required=True, help="second algorithm, a token as in halftone --algo")
 
 
 # verb -> (help, function that adds its arguments, command); usage and --help list the verbs in this order
@@ -433,7 +425,7 @@ def build_parser(verbs=tuple(VERBS)) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
     for verb in verbs:
         help_text, add_arguments, command = VERBS[verb]
-        p = sub.add_parser(verb, help=help_text)
+        p = sub.add_parser(verb, help=help_text, allow_abbrev=False)  # the retired --h is refused, not read as --help
         add_arguments(p)
         p.set_defaults(func=command)
     return parser
@@ -447,8 +439,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    return run_command(args.func, args)
+
+
+def run_command(command, *args) -> int:
+    """``command(*args)``, or one ``error:`` line and EXIT_IO for an I/O error, EXIT_USAGE for a ValueError."""
     try:
-        return args.func(args)
+        return command(*args)
     except (OSError, MemoryError, imagery.NetpbmError, robustness.SweepError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -119,8 +119,8 @@ class HalftoneSpec:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r} (expected one of {ALGORITHMS})")
-        if self.h is not None and _check_int(self.h, "block size h") < 1:
-            raise ValueError(f"block size h must be >= 1, got {self.h}")
+        if self.h is not None:
+            _check_int(self.h, "block size h", 1)
         if self.level is not None and not 0.0 <= self.level <= 1.0:
             raise ValueError(f"threshold level must lie in [0, 1], got {self.level}")
         if self.seed is not None:

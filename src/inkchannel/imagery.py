@@ -37,12 +37,15 @@ class NetpbmError(ValueError):
     """Raised for malformed, unsupported, or truncated PGM/PBM files."""
 
 
-def _check_int(value, what: str) -> int:
-    """Return ``value`` as an int; floats, even 7.0, are rejected."""
+def _check_int(value, what: str, least: int | None = None) -> int:
+    """Return ``value`` as an int, refusing one below ``least`` if given; floats, even 7.0, are rejected."""
     try:
-        return operator.index(value)
+        index = operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if least is not None and index < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
+    return index
 
 
 def _check_seed(seed: int) -> int:
@@ -161,10 +164,8 @@ class HistogramSpec:
         if self.mode == "block":
             if self.block is None or self.bins is None:
                 raise ValueError("block mode requires block size and bin count")
-            if _check_int(self.block, "block size") < 1:
-                raise ValueError(f"block size must be >= 1, got {self.block}")
-            if _check_int(self.bins, "bin count") < 2:
-                raise ValueError(f"bin count must be >= 2, got {self.bins}")
+            _check_int(self.block, "block size", 1)
+            _check_int(self.bins, "bin count", 2)
         if self.smoothing is not None and not 0 < self.smoothing < math.inf:
             raise ValueError(f"additive constant must be > 0 and finite, got {self.smoothing}")
 

@@ -112,8 +112,7 @@ def noise_entropy_curve(
     off (seed, cell index), so the result is reproducible and independent of
     any execution order.
     """
-    if _check_int(reps, "reps") < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    _check_int(reps, "reps", 1)
     rows = []
     for ti, t in enumerate(t_grid):
         power = t if isinstance(t, NoisePower) else NoisePower(t)

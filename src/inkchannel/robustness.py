@@ -72,8 +72,7 @@ class SweepSpec:
         _check_kind(self.channel_kind, self.block)
         if not self.t_grid:
             raise ValueError("sweep needs a non-empty t grid")
-        if _check_int(self.reps, "reps") < 1:
-            raise ValueError(f"reps must be >= 1, got {self.reps}")
+        _check_int(self.reps, "reps", 1)
         _check_seed(self.master_seed)
         if not self.corpus:
             raise ValueError("sweep needs a non-empty corpus")
@@ -115,8 +114,7 @@ class RobustnessRecord:
             if self.algo != "blockd":
                 raise ValueError(f"h is recorded for blockd only, got h={self.h!r} for {self.algo!r}")
             HalftoneSpec("blockd", h=self.h)
-        if _check_int(self.rep, "rep") < 0:
-            raise ValueError(f"rep must be >= 0, got {self.rep}")
+        _check_int(self.rep, "rep", 0)
         _check_seed(self.seed)
         if not 0.0 <= self.q_bits <= math.inf:
             raise ValueError(f"divergence must lie in [0, inf], got {self.q_bits}")
@@ -246,8 +244,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[RobustnessRecord]:
     as stacks; ``jobs`` > 1 distributes the tasks across at most that many processes.  A cell's seed
     index is its canonical place, so the output is identical for every jobs value.
     """
-    if _check_int(jobs, "jobs") < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    _check_int(jobs, "jobs", 1)
     n_img = len(spec.corpus)
     fs_run = min(_FS_STACK, -(-n_img // jobs))  # as large a stack as leaves fs alone a task per worker
     tasks = []
@@ -395,16 +392,19 @@ def read_records_csv(path) -> list[RobustnessRecord]:
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(RECORD_FIELDS):
-            raise ValueError(f"unexpected record CSV header {header}")
-        for row in filter(None, reader):  # blank lines are skipped
-            try:
-                if len(row) != len(RECORD_FIELDS):
-                    raise ValueError(f"expected {len(RECORD_FIELDS)} fields, got {len(row)}")
-                records.append(RobustnessRecord(*(parse(text) for parse, text in zip(_RECORD_PARSERS, row))))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        try:
+            header = next(reader, None)
+            if header != list(RECORD_FIELDS):
+                raise ValueError(f"unexpected record CSV header {header}")
+            for row in filter(None, reader):  # blank lines are skipped
+                try:
+                    if len(row) != len(RECORD_FIELDS):
+                        raise ValueError(f"expected {len(RECORD_FIELDS)} fields, got {len(row)}")
+                    records.append(RobustnessRecord(*(parse(text) for parse, text in zip(_RECORD_PARSERS, row))))
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        except csv.Error as exc:  # a line the csv module cannot split, such as an over-long field
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     return records
 
 

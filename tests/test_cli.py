@@ -1,3 +1,4 @@
+import hashlib
 import re
 import runpy
 import sys
@@ -9,8 +10,9 @@ import pytest
 from inkchannel import ALGORITHMS, BinaryImage, HistogramSpec, channel, read_binary, read_gray, write_binary, write_gray
 from inkchannel import cli
 from inkchannel.cli import _parse_algorithm_token, build_parser, format_scalar, main, parse_sweep_config
+from inkchannel.robustness import RECORD_FIELDS
 
-from conftest import constant_gray
+from conftest import constant_gray, natural_gray
 
 
 def run(capsys, *argv):
@@ -44,7 +46,7 @@ def test_halftone_blockd_requires_h(capsys, tmp_path, gray128):
         capsys, "halftone", "--algo", "blockd", "--input", str(gray128), "--output", str(tmp_path / "g.pbm")
     )
     assert code == 2
-    assert "--h" in stderr
+    assert "requires a block size h" in stderr
 
 
 def test_halftone_random_requires_seed(capsys, tmp_path, gray128):
@@ -52,17 +54,53 @@ def test_halftone_random_requires_seed(capsys, tmp_path, gray128):
         capsys, "halftone", "--algo", "random", "--input", str(gray128), "--output", str(tmp_path / "g.pbm")
     )
     assert code == 2
-    assert "--seed" in stderr
+    assert "requires an explicit seed" in stderr
 
 
 def test_halftone_threshold_level_one_is_all_black(capsys, tmp_path, gray128):
     out = tmp_path / "g.pbm"
     code, stdout, _ = run(
-        capsys, "halftone", "--algo", "threshold", "--level", "1", "--input", str(gray128), "--output", str(out)
+        capsys, "halftone", "--algo", "threshold:level=1", "--input", str(gray128), "--output", str(out)
     )
     assert code == 0
     assert stdout.strip() == "1"
     assert read_binary(out).bits.all()
+
+
+# halftone of natural_gray(48, 40) per algorithm token: PBM sha256 and stdout, taken when halftone spelled
+# the parameters as flags (--level 0.75, --seed 7, --order 4, --h 5)
+HALFTONE_DIGESTS = {
+    "threshold:level=0.75": ("5a7cf683fedcbc0651c9eda3cd8c0fcf47855680da87214110c3fa7809cf8716", "0.779166666667\n"),
+    "random:seed=7": ("05076bd9e39ad62e536e486098145a212d7ae032a5647b54178c1341c009a433", "0.332812500000\n"),
+    "fs": ("c0c0992372743f8ad7c9ba75e15bbcff159b69f2db27bf10c0918ae194bf2dbd", "0.326041666667\n"),
+    "bayer:order=4": ("cd7b491ad4b1d2b1ab85ee1c3392ecfb0918fbd985fbdb5284f902e89c402360", "0.330729166667\n"),
+    "cdot:order=4": ("929e450eb5a922d8b60e0e96e64511f29e4ed424ab6ca2d42e407caeb1b14bbe", "0.331250000000\n"),
+    "dotdif": ("78dfc5e5b237ac1ea044cc2c347672d2c54f7be36b2220c657464ecf833d79a2", "0.328645833333\n"),
+    "blockd:h=5": ("a1f86614b16e2bfda56929adca4cc8d9fa2833be37545302b2518b7017bc739e", "0.330208333333\n"),
+}
+
+
+def test_halftone_digests_cover_every_algorithm():
+    assert [token.split(":")[0] for token in HALFTONE_DIGESTS] == list(ALGORITHMS)
+
+
+@pytest.mark.parametrize("token", HALFTONE_DIGESTS)
+def test_halftone_token_writes_the_flag_spelling_bytes(capsys, tmp_path, token):
+    src, out = tmp_path / "scene.pgm", tmp_path / "g.pbm"
+    write_gray(natural_gray(48, 40), src)
+    code, stdout, stderr = run(capsys, "halftone", "--algo", token, "--input", str(src), "--output", str(out))
+    assert (code, stderr) == (0, "")
+    assert (hashlib.sha256(out.read_bytes()).hexdigest(), stdout) == HALFTONE_DIGESTS[token]
+
+
+@pytest.mark.parametrize("flag", ["--h", "--level", "--order", "--seed"])
+def test_halftone_takes_no_parameter_flags(capsys, tmp_path, gray128, flag):
+    out = tmp_path / "g.pbm"
+    code, stdout, stderr = run(
+        capsys, "halftone", "--algo", "blockd:h=5", "--input", str(gray128), "--output", str(out), flag, "3"
+    )
+    assert code == 2 and stdout == "" and f"unrecognized arguments: {flag} 3" in stderr
+    assert not out.exists()
 
 
 def test_halftone_missing_input_is_io_error(capsys, tmp_path):
@@ -113,7 +151,7 @@ def test_p2_and_p5_copies_halftone_alike(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "argv", [str(script), "--out", str(tmp_path), "--count", "2", "--size", "48"])
     runpy.run_path(str(script), run_name="__main__")
     capsys.readouterr()
-    extra = {"random": ["--seed", "3"], "blockd": ["--h", "5"]}
+    tokens = {"random": "random:seed=3", "blockd": "blockd:h=5"}
     for p5 in sorted(tmp_path.glob("scene*.pgm")):
         p2 = p5.with_suffix(".p2.pgm")
         write_gray(read_gray(p5), p2, ascii_format=True)
@@ -122,7 +160,7 @@ def test_p2_and_p5_copies_halftone_alike(capsys, tmp_path, monkeypatch):
             outputs = []
             for src in (p5, p2):
                 out = tmp_path / f"{src.stem}.{algo}.pbm"
-                argv = ["halftone", "--algo", algo, "--input", str(src), "--output", str(out), *extra.get(algo, [])]
+                argv = ["halftone", "--algo", tokens.get(algo, algo), "--input", str(src), "--output", str(out)]
                 code, stdout, stderr = run(capsys, *argv)
                 assert code == 0, stderr
                 outputs.append((out.read_bytes(), stdout))
@@ -509,17 +547,58 @@ def test_compare_command(capsys, tmp_path, corpus_dir):
     write_config(cfg, corpus_dir)
     out = tmp_path / "records.csv"
     run(capsys, "sweep", "--spec", str(cfg), "--out", str(out))
-    code, stdout, _ = run(capsys, "compare", "--records", str(out), "--a", "fs", "--b", "blockd")
+    code, stdout, _ = run(capsys, "compare", "--records", str(out), "--a", "fs", "--b", "blockd:h=3")
     assert code == 0
     assert "t=0" in stdout and "->" in stdout
-    code, _, stderr = run(capsys, "compare", "--records", str(out), "--a", "nope", "--b", "blockd")
+    code, _, stderr = run(capsys, "compare", "--records", str(out), "--a", "nope", "--b", "blockd:h=3")
     assert code == 2 and "nope" in stderr
     lines = out.read_text().splitlines()
     fields = lines[1].split(",")
     fields[7] = "nan"  # q_bits
     out.write_text("\n".join([lines[0], ",".join(fields)] + lines[2:]) + "\n")
-    code, _, stderr = run(capsys, "compare", "--records", str(out), "--a", "fs", "--b", "blockd")
+    code, _, stderr = run(capsys, "compare", "--records", str(out), "--a", "fs", "--b", "blockd:h=3")
     assert code == 2 and f"{out}:2:" in stderr and "Traceback" not in stderr
+
+
+# `compare --a blockd --h-a 3 --b blockd --h-b 5` stdout on the sweep below, before the tokens replaced --h-a/--h-b
+BLOCKD_3_VS_5_SHA256 = "254b7a95db34cb2ba019a400a9695acf1bf528f32912489696f218e6b6309d8f"
+
+
+def test_compare_two_blockd_sizes(capsys, tmp_path, corpus_dir):
+    cfg, out = tmp_path / "sweep.cfg", tmp_path / "records.csv"
+    write_config(cfg, corpus_dir, algorithms="fs, blockd:h=3, blockd:h=5")
+    assert run(capsys, "sweep", "--spec", str(cfg), "--out", str(out))[0] == 0
+    code, stdout, stderr = run(capsys, "compare", "--records", str(out), "--a", "blockd:h=3", "--b", "blockd:h=5")
+    assert (code, stderr) == (0, "")
+    assert hashlib.sha256(stdout.encode()).hexdigest() == BLOCKD_3_VS_5_SHA256
+    code, stdout, stderr = run(capsys, "compare", "--records", str(out), "--a", "fs", "--b", "blockd:h=7")
+    assert code == 2 and stdout == ""
+    assert stderr == "error: --b: no records for algorithm 'blockd:h=7'\n"
+
+
+@pytest.mark.parametrize(
+    "a, b, fragment",
+    [
+        pytest.param("fs", "blockd", "--b: algorithm 'blockd': blockd requires a block size h", id="blockd-without-h"),
+        pytest.param("nope", "blockd:h=3", "--a: algorithm 'nope': unknown algorithm 'nope'", id="unknown"),
+        pytest.param("fs", "blockd:size=3", "--b: algorithm 'blockd:size=3': unknown parameter 'size'", id="bad-key"),
+    ],
+)
+def test_compare_refuses_bad_algorithm_tokens(capsys, tmp_path, corpus_dir, a, b, fragment):
+    cfg, out = tmp_path / "sweep.cfg", tmp_path / "records.csv"
+    write_config(cfg, corpus_dir)
+    assert run(capsys, "sweep", "--spec", str(cfg), "--out", str(out))[0] == 0
+    code, stdout, stderr = run(capsys, "compare", "--records", str(out), "--a", a, "--b", b)
+    assert code == 2 and stdout == ""
+    assert stderr.startswith(f"error: {fragment}") and stderr.count("\n") == 1
+
+
+def test_compare_refuses_field_the_csv_module_cannot_read(capsys, tmp_path):
+    out = tmp_path / "records.csv"
+    out.write_text(",".join(RECORD_FIELDS) + "\n" + "x" * 200_000 + "\n")
+    code, stdout, stderr = run(capsys, "compare", "--records", str(out), "--a", "fs", "--b", "blockd:h=3")
+    assert code == 2 and stdout == ""
+    assert stderr == f"error: {out}:2: field larger than field limit (131072)\n"
 
 
 def test_compare_rejects_records_of_two_noise_kinds(capsys, tmp_path, corpus_dir):
@@ -532,7 +611,7 @@ def test_compare_rejects_records_of_two_noise_kinds(capsys, tmp_path, corpus_dir
         csvs.append(out.read_text().splitlines())
     both = tmp_path / "both.csv"
     both.write_text("\n".join(csvs[0] + csvs[1][1:]) + "\n")  # one header row
-    code, stdout, stderr = run(capsys, "compare", "--records", str(both), "--a", "fs", "--b", "blockd")
+    code, stdout, stderr = run(capsys, "compare", "--records", str(both), "--a", "fs", "--b", "blockd:h=3")
     assert code == 2 and stdout == ""
     assert "first records mix noise kinds ['bitflip', 'erase']" in stderr and "Traceback" not in stderr
 
@@ -547,7 +626,7 @@ def test_compare_rejects_sides_of_different_noise_kinds(capsys, tmp_path, corpus
         csvs.append(out.read_text().splitlines())
     both = tmp_path / "both.csv"
     both.write_text("\n".join(csvs[0] + csvs[1][1:]) + "\n")
-    code, stdout, stderr = run(capsys, "compare", "--records", str(both), "--a", "fs", "--b", "blockd")
+    code, stdout, stderr = run(capsys, "compare", "--records", str(both), "--a", "fs", "--b", "blockd:h=3")
     assert code == 2 and stdout == ""
     assert "different noise kinds: 'bitflip' vs 'erase'" in stderr and "Traceback" not in stderr
 

@@ -184,7 +184,7 @@ RAGGED_HISTOGRAM_DIGESTS = {  # block size -> sha256 of the 16-bin block histogr
 # `inkchannel screens` stdout: every compiled-in screen and class matrix
 SCREENS_DIGEST = "ee456c4ba09918345732b200f47b6a6a76b15dc654349fbb94fc7cd907f51f17"
 
-# `inkchannel compare --a fs --b blockd` stdout on the bitflip/binary sweep records above
+# `inkchannel compare --a fs --b blockd:h=5` stdout on the bitflip/binary sweep records above
 COMPARE_DIGEST = "562605ed60ce7c1b8e69c680a15181dda4c9cf511c98b3a48d27b281494782fe"
 
 # difference_surface of fs against blockd h=5 and h=11: t, h and repr of every value
@@ -306,7 +306,7 @@ def test_screens_bytes(capsys):
 
 def test_compare_stdout_bytes(tmp_path, corpus_dir, capsys):
     write_records_csv(golden_sweep(corpus_dir), tmp_path / "records.csv")
-    assert main(["compare", "--records", str(tmp_path / "records.csv"), "--a", "fs", "--b", "blockd"]) == 0
+    assert main(["compare", "--records", str(tmp_path / "records.csv"), "--a", "fs", "--b", "blockd:h=5"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == COMPARE_DIGEST
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from inkchannel.cli import main
+from inkchannel.robustness import RECORD_FIELDS
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -108,3 +109,45 @@ def test_counts_below_one_are_usage_errors(monkeypatch, capsys, tmp_path, corpus
     assert code == 2 and stdout == ""
     assert f"error: argument {flag}: must be >= 1, got 0" in stderr
     assert not out.exists()
+
+
+def test_surface_refuses_field_the_csv_module_cannot_read(monkeypatch, capsys, tmp_path):
+    records, out = tmp_path / "records.csv", tmp_path / "surface.csv"
+    records.write_text(",".join(RECORD_FIELDS) + "\n" + "x" * 200_000 + "\n")
+    code, stdout, stderr = run_script(monkeypatch, capsys, "fs_vs_blockd_surface.py", "--records", records,
+                                      "--out", out)
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: {records}:2: field larger than field limit (131072)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("image, seed, code, fragment", [
+    pytest.param("missing.pgm", 3, 3, "No such file or directory", id="missing-image"),
+    pytest.param("junk.txt", 3, 3, "not a PGM file", id="not-pgm"),
+    pytest.param(None, -1, 2, "seed must be a 64-bit unsigned integer, got -1", id="seed-negative"),
+])
+def test_noise_distance_refusals_are_one_error_line(monkeypatch, capsys, tmp_path, corpus, image, seed, code, fragment):
+    (tmp_path / "junk.txt").write_bytes(b"hello")
+    out = tmp_path / "noise_distance.csv"
+    got = run_script(monkeypatch, capsys, "noise_distance_experiment.py", "--image",
+                     tmp_path / image if image else corpus / "scene00.pgm", "--steps", 2, "--reps", 1,
+                     "--seed", seed, "--out", out)
+    assert got[:2] == (code, "")
+    assert got[2].startswith("error: ") and fragment in got[2] and got[2].count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case, code, fragment", [
+    ("out-is-a-file", 3, "File exists"),
+    ("seed-negative", 2, "got -1"),
+    ("seed-2**64", 2, f"got {2**64}"),
+])
+def test_make_corpus_refusals_are_one_error_line(monkeypatch, capsys, tmp_path, case, code, fragment):
+    out = tmp_path / "corpus"
+    if case == "out-is-a-file":
+        out.write_text("not a directory\n")
+    seed = {"seed-negative": -1, "seed-2**64": 2**64}.get(case, 1)
+    got = run_script(monkeypatch, capsys, "make_corpus.py", "--out", out, "--count", 1, "--size", 8, "--seed", seed)
+    assert got[:2] == (code, "")
+    assert got[2].startswith("error: ") and fragment in got[2] and got[2].count("\n") == 1
+    assert out.is_file() if case == "out-is-a-file" else not out.exists()
