@@ -155,14 +155,8 @@ _REQUIRED_KEYS = ("algorithms", "kind", "t_grid", "reps", "seed", "corpus")
 
 def parse_sweep_config(path) -> robustness.SweepSpec:
     """Parse the flat key = value sweep config; see sweep.example.cfg."""
-    data = Path(path).read_bytes()
-    try:
-        lines = data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:  # name the line holding the bad byte, counted as splitlines counts
-        lineno = len((data[: exc.start].decode("utf-8") + ".").splitlines())
-        raise ValueError(f"{path}:{lineno}: {exc}") from None
     fields: dict = {}
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(imagery._read_text(path).splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

@@ -9,6 +9,7 @@ round to ink everywhere, for bit-exact reproducibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -58,6 +59,8 @@ _DD_ORDER = tuple(
     (r, s, tuple(n for n in _DD_NEIGHBORS if _CLASS_8[(r + n[0]) % 8, (s + n[1]) % 8] > c))
     for c, (r, s) in enumerate(divmod(i, 8) for i in np.argsort(_CLASS_8, axis=None).tolist())
 )
+
+_DD_CHUNK = 4  # slices of a stack dot diffusion diffuses at once; its float64 work buffer grows with them
 
 
 def _bayer(order: int) -> np.ndarray:
@@ -153,21 +156,38 @@ def _darkness(pixels: np.ndarray) -> np.ndarray:
 
 def halftone(img: GrayImage, spec: HalftoneSpec) -> BinaryImage:
     """Dispatch to the named algorithm; deterministic given (img, spec)."""
+    return BinaryImage(_halftone_bits(img.pixels, spec))
+
+
+def _halftone_bits(pixels: np.ndarray, spec: HalftoneSpec) -> np.ndarray:
+    """The named kernel's bits of uint8 pixels (h, w), or of each slice of a same-shape stack (h, w, K): each
+    slice's are its image's own.  Only FS's wave ring and dot diffusion's work buffer hold float64 across slices."""
     kernel, field = _REGISTRY[spec.algorithm][:2]
-    return kernel(img) if field is None else kernel(img, spec._param())
+    return kernel(pixels) if field is None else kernel(pixels, spec._param())
+
+
+def _per_slice(kernel, pixels: np.ndarray, *param) -> np.ndarray:
+    """The bits of a one-image kernel over pixels (h, w), or over each slice of a stack (h, w, K) in turn."""
+    out = np.empty(pixels.shape, dtype=bool)
+    for j in np.ndindex(pixels.shape[2:]):  # () alone for pixels (h, w)
+        out[(..., *j)] = kernel(pixels[(..., *j)], *param)
+    return out
 
 
 def halftone_threshold(img: GrayImage, level: float) -> BinaryImage:
     """Ink wherever lightness < level*256; level 1 is all ink, level 0 none."""
-    HalftoneSpec("threshold", level=level)
-    return BinaryImage(img.pixels < level * 256)
+    return halftone(img, HalftoneSpec("threshold", level=level))
+
+
+def _random_bits(pixels: np.ndarray, seed: int) -> np.ndarray:
+    """The seed is the spec's, so every image of one shape draws the same u: one draw serves a stack."""
+    u = np.random.Generator(np.random.PCG64(seed)).random(pixels.shape[:2])
+    return _per_slice(lambda image: u < _darkness(image), pixels)
 
 
 def halftone_random(img: GrayImage, seed: int) -> BinaryImage:
     """Per-pixel coin: ink where a uniform [0,1) draw falls below darkness."""
-    rng = np.random.Generator(np.random.PCG64(_check_seed(seed)))
-    u = rng.random(img.pixels.shape)
-    return BinaryImage(u < _darkness(img.pixels))
+    return halftone(img, HalftoneSpec("random", seed=_check_seed(seed)))
 
 
 _FS_WAVES = 32  # M, the waves the FS buffer holds
@@ -225,28 +245,54 @@ def halftone_floyd_steinberg(img: GrayImage) -> BinaryImage:
     """Error diffusion, raster scan, kernel 7/16 E, 3/16 SW, 5/16 S, 1/16 SE.
 
     Works in darkness space; the quantizer emits ink when error-adjusted
-    darkness >= 0.5; error diffused past the border is dropped.  The kernel
-    is ``_fs_bits``, which also runs a stack of same-shape images at once.
+    darkness >= 0.5; error diffused past the border is dropped.
     """
-    return BinaryImage(_fs_bits(img.pixels))
+    return halftone(img, HalftoneSpec("fs"))
 
 
-def _screen_halftone(img: GrayImage, screen: np.ndarray) -> BinaryImage:
-    order = screen.shape[0]
-    thresholds = (screen + 0.5) / (order * order)
-    reps = (-(-img.height // order), -(-img.width // order))
-    tiled = np.tile(thresholds, reps)[: img.height, : img.width]
-    return BinaryImage(_darkness(img.pixels) > tiled)
+def _screen_bits(name: str, pixels: np.ndarray, order: int) -> np.ndarray:
+    """Ordered dither against the named screen of this order, tiled once per shape."""
+    thresholds = (_SCREENS[name][order] + 0.5) / (order * order)
+    h, w = pixels.shape[:2]
+    tiled = np.tile(thresholds, (-(-h // order), -(-w // order)))[:h, :w]
+    return _per_slice(lambda image: _darkness(image) > tiled, pixels)
 
 
 def halftone_bayer(img: GrayImage, order: int) -> BinaryImage:
     """Dispersed-dot ordered dither against the tiled Bayer matrix."""
-    return _screen_halftone(img, bayer_matrix(order))
+    return halftone(img, HalftoneSpec("bayer", matrix_order=order))
 
 
 def halftone_clustered_dot(img: GrayImage, order: int) -> BinaryImage:
     """Ordered dither against a clustered-dot screen; dots grow from tile centers."""
-    return _screen_halftone(img, clustered_dot_matrix(order))
+    return halftone(img, HalftoneSpec("cdot", matrix_order=order))
+
+
+def _dotdif_bits(pixels: np.ndarray) -> np.ndarray:
+    """Dot diffusion's bits; the weight totals are the shape's, built once, and a class pass serves
+    _DD_CHUNK slices down the work buffer's leading axis, so its lattice rows stay the inner loop."""
+    h, w = pixels.shape[:2]
+    stack = pixels.reshape(h, w, -1)
+    classes = np.tile(_CLASS_8.astype(np.int8), (-(-h // 8), -(-w // 8)))[:h, :w]
+    padded = np.pad(classes, 1, constant_values=-1)
+    total = sum(np.uint8(wgt) * (padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w] > classes)
+                for dy, dx, wgt in _DD_NEIGHBORS)  # uint8, at most 12
+    total = np.maximum(total, 1)  # 0 only where every later neighbor is off the image
+    out = np.empty((stack.shape[2], h, w), dtype=bool)
+    work = np.zeros((min(stack.shape[2], _DD_CHUNK), h + 2, w + 2))  # the border soaks up error; no pass reads it
+    for lo in range(0, stack.shape[2], _DD_CHUNK):
+        chunk, bits = np.moveaxis(stack[..., lo : lo + _DD_CHUNK], -1, 0), out[lo : lo + _DD_CHUNK]
+        buf = work[: len(chunk)]
+        inner = buf[:, 1:-1, 1:-1]
+        np.divide(np.subtract(255.0, chunk, out=inner), 255.0, out=inner)
+        for r, s, later in _DD_ORDER:
+            d = buf[:, 1 + r : h + 1 : 8, 1 + s : w + 1 : 8]
+            ink = np.greater_equal(d, 0.5, out=bits[:, r::8, s::8])
+            scale = (d - ink) / total[r::8, s::8]  # d - 0 is d itself, -0.0 included
+            share = (scale, scale + scale)  # by weight - 1; 2 * scale is exactly scale + scale
+            for dy, dx, wgt in later:
+                buf[:, 1 + r + dy : h + 1 + dy : 8, 1 + s + dx : w + 1 + dx : 8] += share[wgt - 1]
+    return np.moveaxis(out, 0, -1).reshape(pixels.shape)
 
 
 def halftone_dot_diffusion(img: GrayImage) -> BinaryImage:
@@ -262,22 +308,7 @@ def halftone_dot_diffusion(img: GrayImage) -> BinaryImage:
     carry distinct classes: each pixel takes at most one addition per pass, in
     class order, as a pixel-at-a-time loop would.
     """
-    h, w = img.height, img.width
-    buf = np.pad(_darkness(img.pixels), 1)  # the border soaks up error sent past the edge
-    classes = np.tile(_CLASS_8, (-(-h // 8), -(-w // 8)))[:h, :w]
-    padded = np.pad(classes, 1, constant_values=-1)
-    total = sum(wgt * (padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w] > classes) for dy, dx, wgt in _DD_NEIGHBORS)
-    total = np.maximum(total, 1)  # 0 only where every later neighbor is off the image
-    out = np.zeros((h, w), dtype=np.uint8)
-    for r, s, later in _DD_ORDER:
-        d = buf[1 + r : h + 1 : 8, 1 + s : w + 1 : 8]
-        ink = d >= 0.5
-        out[r::8, s::8] = ink
-        scale = (d - ink) / total[r::8, s::8]  # d - 0 is d itself, -0.0 included
-        share = (scale, scale + scale)  # by weight - 1; 2 * scale is exactly scale + scale
-        for dy, dx, wgt in later:
-            buf[1 + r + dy : h + 1 + dy : 8, 1 + s + dx : w + 1 + dx : 8] += share[wgt - 1]
-    return BinaryImage(out)
+    return halftone(img, HalftoneSpec("dotdif"))
 
 
 def _block_dots(light: np.ndarray, th: int, tw: int) -> np.ndarray:
@@ -294,7 +325,20 @@ def _block_dots(light: np.ndarray, th: int, tw: int) -> np.ndarray:
     keys = tiles.astype(dtype) * m + np.arange(m, dtype=dtype)
     kth = np.sort(keys, axis=1)[np.arange(ny * nx), np.maximum(k - 1, 0)]
     dots = (keys <= kth[:, None]) & (k > 0)[:, None]
-    return dots.view(np.uint8).reshape(ny, nx, th, tw).swapaxes(1, 2).reshape(light.shape)
+    return dots.reshape(ny, nx, th, tw).swapaxes(1, 2).reshape(light.shape)
+
+
+def _blockd_image(pixels: np.ndarray, h: int) -> np.ndarray:
+    """blockd's bits of one image; a stack goes through it a slice at a time, as the sort's temporaries
+    grow with the tiles.  The body, right column, bottom row and corner are each a grid of equal-size tiles."""
+    out = np.empty(pixels.shape, dtype=bool)
+    body_y, body_x = pixels.shape[0] - pixels.shape[0] % h, pixels.shape[1] - pixels.shape[1] % h
+    for ys in (slice(0, body_y), slice(body_y, None)):
+        for xs in (slice(0, body_x), slice(body_x, None)):
+            region = pixels[ys, xs]
+            if region.size:
+                out[ys, xs] = _block_dots(region, min(h, region.shape[0]), min(h, region.shape[1]))
+    return out
 
 
 def halftone_block_d(img: GrayImage, h: int) -> BinaryImage:
@@ -303,32 +347,23 @@ def halftone_block_d(img: GrayImage, h: int) -> BinaryImage:
 
     Edge tiles keep their true size.  h = 1 reduces to per-pixel rounding.
     """
-    HalftoneSpec("blockd", h=h)
-    out = np.empty(img.pixels.shape, dtype=np.uint8)
-    body_y, body_x = img.height - img.height % h, img.width - img.width % h
-    # body, right column, bottom row and corner: each a grid of equal-size tiles
-    for ys in (slice(0, body_y), slice(body_y, img.height)):
-        for xs in (slice(0, body_x), slice(body_x, img.width)):
-            region = img.pixels[ys, xs]
-            if region.size:
-                out[ys, xs] = _block_dots(region, min(h, region.shape[0]), min(h, region.shape[1]))
-    return BinaryImage(out)
+    return halftone(img, HalftoneSpec("blockd", h=h))
 
 
 class _Required(str):
     """Registry marker for a field without a default; the text names it in errors."""
 
 
-# name -> (kernel, the one HalftoneSpec field it takes or None, label tag or
+# name -> (bits kernel, the one HalftoneSpec field it takes or None, label tag or
 # "" for the bare name, default value or _Required)
 _REGISTRY = {
-    "threshold": (halftone_threshold, "level", "l", 0.5),
-    "random": (halftone_random, "seed", "s", _Required("an explicit seed")),
-    "fs": (halftone_floyd_steinberg, None, "", None),
-    "bayer": (halftone_bayer, "matrix_order", "o", 8),
-    "cdot": (halftone_clustered_dot, "matrix_order", "o", 8),
-    "dotdif": (halftone_dot_diffusion, None, "", None),
-    "blockd": (halftone_block_d, "h", "", _Required("a block size h")),
+    "threshold": (lambda pixels, level: pixels < level * 256, "level", "l", 0.5),
+    "random": (_random_bits, "seed", "s", _Required("an explicit seed")),
+    "fs": (_fs_bits, None, "", None),
+    "bayer": (partial(_screen_bits, "bayer"), "matrix_order", "o", 8),
+    "cdot": (partial(_screen_bits, "cdot"), "matrix_order", "o", 8),
+    "dotdif": (_dotdif_bits, None, "", None),
+    "blockd": (partial(_per_slice, _blockd_image), "h", "", _Required("a block size h")),
 }
 
 ALGORITHMS = tuple(_REGISTRY)

@@ -56,6 +56,16 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
+def _read_text(path) -> str:
+    """A file's UTF-8 text; a byte that is not UTF-8 is a ValueError naming its line, counted as splitlines counts."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr)
     out.setflags(write=False)
@@ -313,13 +323,16 @@ def _block_bins(bits: np.ndarray, block: int, bins: int) -> np.ndarray:
     height, width = bits.shape
     if block > width and block > height:
         raise ValueError(f"block {block} larger than both image dimensions {width}x{height}")
-    ys, xs = np.arange(0, height, block), np.arange(0, width, block)
+    ny, nx = -(-height // block), -(-width // block)
     by, bx = min(block, height), min(block, width)  # a block past one side is one tile of that side
-    tiles = np.zeros((len(ys) * by, len(xs) * bx), dtype=np.uint8)
-    tiles[:height, :width] = bits
+    if (ny * by, nx * bx) != bits.shape:  # ragged edge tiles: pad them whole with no ink
+        bits, ragged = np.zeros((ny * by, nx * bx), dtype=np.uint8), bits
+        bits[:height, :width] = ragged
     dtype = np.int32 if by * bx < 1 << 31 else np.int64  # holds any tile's ink count
-    ink = tiles.reshape(len(ys), by, len(xs), bx).sum(axis=1, dtype=dtype).sum(axis=-1, dtype=dtype)
-    area = np.outer(np.diff(ys, append=height), np.diff(xs, append=width))
+    ink = bits.reshape(ny, by, nx, bx).sum(axis=1, dtype=dtype).sum(axis=-1, dtype=dtype)
+    rows, cols = np.full(ny, by), np.full(nx, bx)
+    rows[-1], cols[-1] = height - (ny - 1) * by, width - (nx - 1) * bx  # the edge tiles' true size
+    area = np.outer(rows, cols)
     idx = np.minimum((ink / area * bins).astype(np.int64), bins - 1)
     counts = np.bincount(idx.ravel(), minlength=bins).astype(np.float64)
     return counts / counts.sum()

@@ -9,6 +9,7 @@ divergences of pooled histograms), which also yields standard errors.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import operator
 from collections import Counter
@@ -21,8 +22,8 @@ import numpy as np
 
 from .channel import (_KIND_GATES, BlockSpec, NoisePower, _block_mask, _channel_bits, _check_kind, _known_kind,
                       _noise_bits, derive_seed, noise_density)
-from .halftone import HalftoneSpec, _fs_bits, halftone
-from .imagery import HistogramSpec, _check_int, _check_seed, _histogram_bins, read_gray
+from .halftone import HalftoneSpec, _halftone_bits
+from .imagery import HistogramSpec, _check_int, _check_seed, _histogram_bins, _read_text, read_gray
 from .metrics import _kl_from, _kl_reference
 
 __all__ = [
@@ -153,42 +154,36 @@ _PARSERS = {"str": str, "float": float, "int": int, "int | None": lambda text: i
 _RECORD_PARSERS = tuple(_PARSERS[f.type] for f in fields(RobustnessRecord))
 
 
-_FS_STACK = 16  # images per fs task at most; FS's read-ahead and wave buffer grow with its stacks
+_STACK = 16  # images per task at most; a task reads its run ahead, and FS's wave buffer grows with its stacks
 
 
-def _fs_run(run: list):
-    """The FS bits of each of a run of same-shape pixel arrays, halftoned as one stack.  The run is
-    emptied, so that the stack holds the only copy of its pixels while FS runs."""
+def _stack_bits(alg: HalftoneSpec, run: list):
+    """The bits of each of a run of same-shape pixel arrays, halftoned as one stack.  The run is emptied,
+    so that the stack holds the only copy of its pixels while the kernel runs."""
     if run:
         stack = np.stack(run, -1)
         run.clear()
-        bits = _fs_bits(stack)
+        bits = _halftone_bits(stack, alg)
         del stack
         for j in range(bits.shape[-1]):
-            yield bits[..., j].view(np.uint8)
+            yield np.ascontiguousarray(bits[..., j]).view(np.uint8)
 
 
 def _halftones(alg: HalftoneSpec, paths):
     """Each image's halftone bits, in order, as the caller takes them; an image that cannot be read or
-    halftoned raises at its turn.
-
-    fs halftones each run of consecutive same-shape images as one stack, so it reads a run ahead of
-    that run's cells; every other algorithm reads and halftones one image at a time through halftone()."""
-    if alg.algorithm != "fs":
-        for path in paths:
-            yield halftone(read_gray(path), alg).bits
-        return
+    halftoned raises at its turn.  Each run of consecutive same-shape images is halftoned as one stack,
+    so a run is read ahead of its cells."""
     run = []
     for path in paths:
         try:
             pixels = read_gray(path).pixels
         except Exception:
-            yield from _fs_run(run)  # the images before this one take their turns first
+            yield from _stack_bits(alg, run)  # the images before this one take their turns first
             raise
         if run and pixels.shape != run[0].shape:
-            yield from _fs_run(run)
+            yield from _stack_bits(alg, run)
         run.append(pixels)
-    yield from _fs_run(run)
+    yield from _stack_bits(alg, run)
 
 
 def _run_task(spec: SweepSpec, task: tuple) -> list[RobustnessRecord]:
@@ -240,17 +235,14 @@ def _run_task(spec: SweepSpec, task: tuple) -> list[RobustnessRecord]:
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[RobustnessRecord]:
     """One record per (algorithm, image, t, rep), in canonical order.
 
-    A task is one image for most algorithms, and for fs a run of consecutive images that it halftones
-    as stacks; ``jobs`` > 1 distributes the tasks across at most that many processes.  A cell's seed
-    index is its canonical place, so the output is identical for every jobs value.
+    A task is one algorithm over a run of consecutive images, which it halftones as same-shape stacks;
+    ``jobs`` > 1 distributes the tasks across at most that many processes.  A cell's seed index is its
+    canonical place, so the output is identical for every jobs value.
     """
     _check_int(jobs, "jobs", 1)
     n_img = len(spec.corpus)
-    fs_run = min(_FS_STACK, -(-n_img // jobs))  # as large a stack as leaves fs alone a task per worker
-    tasks = []
-    for ai, alg in enumerate(spec.algorithms):
-        step = fs_run if alg.algorithm == "fs" else 1
-        tasks += [(ai, start, start + step) for start in range(0, n_img, step)]
+    step = min(_STACK, -(-n_img // jobs))  # as large a run as leaves each algorithm a task per worker
+    tasks = [(ai, start, start + step) for ai in range(len(spec.algorithms)) for start in range(0, n_img, step)]
     task = partial(_run_task, spec)
     workers = min(jobs, len(tasks))  # a pool starts all its workers up front
     if workers > 1:
@@ -377,7 +369,8 @@ def difference_surface(records_first, records_blockd):
 # ---------------------------------------------------------------------------
 
 def _write_csv(rows, fields, path) -> None:
-    with open(path, "w", newline="") as fh:  # csv writes None as an empty field and a float by its str
+    # UTF-8, as read_records_csv reads it; csv writes None as an empty field and a float by its str
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fields)
         writer.writerows(map(operator.attrgetter(*fields), rows))
@@ -388,23 +381,22 @@ def write_records_csv(records, path) -> None:
 
 
 def read_records_csv(path) -> list[RobustnessRecord]:
-    """Records from a CSV written by write_records_csv; a bad row is a ValueError naming its line."""
+    """Records from a CSV written by write_records_csv; a bad row or byte is a ValueError naming its line."""
     records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header != list(RECORD_FIELDS):
-                raise ValueError(f"unexpected record CSV header {header}")
-            for row in filter(None, reader):  # blank lines are skipped
-                try:
-                    if len(row) != len(RECORD_FIELDS):
-                        raise ValueError(f"expected {len(RECORD_FIELDS)} fields, got {len(row)}")
-                    records.append(RobustnessRecord(*(parse(text) for parse, text in zip(_RECORD_PARSERS, row))))
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-        except csv.Error as exc:  # a line the csv module cannot split, such as an over-long field
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    try:
+        header = next(reader, None)
+        if header != list(RECORD_FIELDS):
+            raise ValueError(f"unexpected record CSV header {header}")
+        for row in filter(None, reader):  # blank lines are skipped
+            try:
+                if len(row) != len(RECORD_FIELDS):
+                    raise ValueError(f"expected {len(RECORD_FIELDS)} fields, got {len(row)}")
+                records.append(RobustnessRecord(*(parse(text) for parse, text in zip(_RECORD_PARSERS, row))))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    except csv.Error as exc:  # a line the csv module cannot split, such as an over-long field
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     return records
 
 

@@ -601,6 +601,14 @@ def test_compare_refuses_field_the_csv_module_cannot_read(capsys, tmp_path):
     assert stderr == f"error: {out}:2: field larger than field limit (131072)\n"
 
 
+def test_compare_refuses_records_that_are_not_utf8(capsys, tmp_path):
+    out = tmp_path / "records.csv"
+    out.write_bytes(",".join(RECORD_FIELDS).encode() + b"\nfs,caf\xff.pgm,bitflip,0.1,,0,1,0.5,0.0,0.5,0.5\n")
+    code, stdout, stderr = run(capsys, "compare", "--records", str(out), "--a", "fs", "--b", "blockd:h=3")
+    assert code == 2 and stdout == ""
+    assert stderr.startswith(f"error: {out}:2: 'utf-8' codec can't decode byte 0xff") and stderr.count("\n") == 1
+
+
 def test_compare_rejects_records_of_two_noise_kinds(capsys, tmp_path, corpus_dir):
     csvs = []
     for kind in ("bitflip", "erase"):

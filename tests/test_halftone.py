@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from inkchannel import GrayImage, HalftoneSpec, halftone, screen_catalog
 from inkchannel.halftone import (
     _fs_bits,
+    _halftone_bits,
     bayer_matrix,
     clustered_dot_matrix,
     dot_diffusion_classes,
@@ -292,6 +293,44 @@ def test_fs_stack_matches_scalar_oracle_slice_by_slice():
         assert bits.shape == (height, width, k)
         for j, pixels in enumerate(slices):
             assert np.array_equal(bits[..., j], halftone_oracle.floyd_steinberg(GrayImage(pixels))), (height, width, k, j)
+
+
+# algorithm -> (its spec for one stack, drawn from rng and the image shape; the bits of one image, from
+# the scalar loop for dotdif and blockd and from the K = 1 public function for the rest); fs is above
+STACK_ORACLES = {
+    "threshold": (lambda rng, shape: HalftoneSpec("threshold", level=float(rng.random())),
+                  lambda img, spec: halftone_threshold(img, spec.level).bits),
+    "random": (lambda rng, shape: HalftoneSpec("random", seed=int(rng.integers(1 << 63))),
+               lambda img, spec: halftone_random(img, spec.seed).bits),
+    "bayer": (lambda rng, shape: HalftoneSpec("bayer", matrix_order=int(rng.choice([2, 4, 8]))),
+              lambda img, spec: halftone_bayer(img, spec.matrix_order).bits),
+    "cdot": (lambda rng, shape: HalftoneSpec("cdot", matrix_order=int(rng.choice([4, 8]))),
+             lambda img, spec: halftone_clustered_dot(img, spec.matrix_order).bits),
+    "dotdif": (lambda rng, shape: HalftoneSpec("dotdif"), lambda img, spec: halftone_oracle.dot_diffusion(img)),
+    "blockd": (lambda rng, shape: HalftoneSpec("blockd", h=int(rng.integers(1, max(shape) + 5))),
+               lambda img, spec: halftone_oracle.block_d(img, spec.h)),
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(STACK_ORACLES))
+def test_every_kernel_stack_matches_its_oracle_slice_by_slice(algorithm):
+    """_halftone_bits over a stack of K = 1-5 same-shape images, each slice of its own palette, gives
+    every slice its own image's bits: K = 1-5 on each edge shape and random K on 60 shapes of 1-40 px a
+    side, each stack with its own drawn parameter.  Dot diffusion's stacks of 5 pass its slice chunks."""
+    draw_spec, oracle = STACK_ORACLES[algorithm]
+    rng = np.random.Generator(np.random.PCG64(sorted(STACK_ORACLES).index(algorithm)))
+    stacks = [(shape, k) for shape in EDGE_SHAPES for k in range(1, 6)]
+    stacks += [(tuple(int(n) for n in rng.integers(1, 41, size=2)), int(rng.integers(1, 6))) for _ in range(60)]
+    for (height, width), k in stacks:
+        slices = []
+        for values in (PALETTES[name] for name in rng.choice(sorted(PALETTES), size=k)):
+            drawn = rng.integers(0, 256, size=(height, width)) if values is None else rng.choice(values, size=(height, width))
+            slices.append(drawn.astype(np.uint8))
+        spec = draw_spec(rng, (height, width))
+        bits = _halftone_bits(np.stack(slices, axis=-1), spec)
+        assert bits.shape == (height, width, k)
+        for j, pixels in enumerate(slices):
+            assert np.array_equal(bits[..., j], oracle(GrayImage(pixels), spec)), (height, width, k, j, spec)
 
 
 @pytest.mark.parametrize("rows, bits", [

@@ -261,7 +261,7 @@ def test_sweep_core_fails_where_the_oracle_fails(oracle_corpora):
 @pytest.mark.parametrize("kind, block", ORACLE_CHANNELS)
 def test_interleaved_shapes_match_object_oracle(oracle_corpora, tmp_path, kind, block):
     """A corpus whose shapes interleave (131x97, 5x120, a second 131x97, 1x1) gives the object path's
-    records at jobs 1 and 2: FS stacks each shape's images, the other algorithms go one at a time."""
+    records at jobs 1 and 2: every algorithm stacks each run of one shape's images."""
     second = tmp_path / "second-131x97.pgm"
     write_gray(GrayImage(np.random.default_rng(8).integers(0, 256, (97, 131), dtype=np.uint8)), second)
     corpus = (*oracle_corpora["ragged"], str(second), oracle_corpora["tiny"][0])
@@ -275,9 +275,9 @@ def test_interleaved_shapes_match_object_oracle(oracle_corpora, tmp_path, kind, 
 @pytest.mark.parametrize("fs_stack", (1, 2, 16))
 def test_fs_runs_and_task_splits_match_object_oracle(oracle_corpora, tmp_path, monkeypatch, fs_stack):
     """Runs of consecutive same-shape images (three 131x97, 5x120, two 1x1, 131x97) give the object path's
-    records whatever the fs task size: stacks of 1, 2 and up to 16 images at jobs 1, and jobs 2 and 3,
-    where fs splits the corpus into a task per worker."""
-    monkeypatch.setattr(robustness, "_FS_STACK", fs_stack)
+    records for fs, dotdif and blockd whatever the task size: stacks of 1, 2 and up to 16 images at jobs 1,
+    and jobs 2 and 3, where each algorithm splits the corpus into a task per worker."""
+    monkeypatch.setattr(robustness, "_STACK", fs_stack)
     ragged, tiny = oracle_corpora["ragged"], oracle_corpora["tiny"][0]
     extra = []
     for i, shape in enumerate(((97, 131), (97, 131), (1, 1), (97, 131))):
@@ -285,6 +285,7 @@ def test_fs_runs_and_task_splits_match_object_oracle(oracle_corpora, tmp_path, m
         write_gray(GrayImage(np.random.default_rng(20 + i).integers(0, 256, shape, dtype=np.uint8)), extra[-1])
     corpus = (ragged[0], extra[0], extra[1], ragged[1], tiny, extra[2], extra[3])
     spec = oracle_spec(corpus, "erase", None, ("binary", None, None), 1e-9, t_grid=(0.3,))
+    spec = dataclasses.replace(spec, algorithms=(HalftoneSpec("fs"), HalftoneSpec("dotdif"), HalftoneSpec("blockd", h=3)))
     expected = sweep_oracle.run_sweep(spec)
     for jobs in (1, 2, 3):
         assert run_sweep(spec, jobs=jobs) == expected, jobs
@@ -293,7 +294,7 @@ def test_fs_runs_and_task_splits_match_object_oracle(oracle_corpora, tmp_path, m
 def test_fs_sweep_memory_does_not_grow_with_the_corpus(tmp_path, monkeypatch):
     """An fs sweep holds one stack of pixels and bits at a time: its tracemalloc peak over 24 same-shape
     images stays near its peak over 4."""
-    monkeypatch.setattr(robustness, "_FS_STACK", 2)
+    monkeypatch.setattr(robustness, "_STACK", 2)
     corpus = []
     for i in range(24):
         corpus.append(str(tmp_path / f"scene{i:02d}.pgm"))
@@ -311,18 +312,48 @@ def test_fs_sweep_memory_does_not_grow_with_the_corpus(tmp_path, monkeypatch):
     assert peaks[1] < 1.2 * peaks[0], peaks
 
 
+@pytest.mark.parametrize("algorithm", [
+    HalftoneSpec("threshold"), HalftoneSpec("random", seed=7), HalftoneSpec("bayer"), HalftoneSpec("cdot"),
+    HalftoneSpec("dotdif"), HalftoneSpec("blockd", h=3),
+], ids=lambda alg: alg.algorithm)
+def test_sweep_memory_does_not_grow_with_the_corpus(tmp_path, monkeypatch, algorithm):
+    """Every other algorithm's sweep holds one stack at a time too, as the fs test above checks for fs:
+    its tracemalloc peak over 24 same-shape images stays near its peak over 4."""
+    monkeypatch.setattr(robustness, "_STACK", 2)
+    corpus = []
+    for i in range(24):
+        corpus.append(str(tmp_path / f"scene{i:02d}.pgm"))
+        write_gray(GrayImage(np.random.default_rng(i).integers(0, 256, (96, 96), dtype=np.uint8)), corpus[-1])
+    peaks = []
+    for n in (4, 24):
+        spec = dataclasses.replace(
+            oracle_spec(tuple(corpus[:n]), "bitflip", None, ("binary", None, None), None, t_grid=(0.5,)),
+            algorithms=(algorithm,), reps=1,
+        )
+        tracemalloc.start()
+        run_sweep(spec)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 1.2 * peaks[0], peaks
+
+
 def test_first_failure_in_canonical_order_is_reported(oracle_corpora, tmp_path):
-    """Image 0 fails in its first cell (a histogram tile larger than 1x1) and image 1 cannot be read: FS
-    reads the whole corpus first, yet the error names image 0's cell, as the object path's does."""
+    """Image 0 fails in its first cell (a histogram tile larger than 1x1) and image 1 cannot be read: each
+    algorithm reads its whole run first, yet the error names image 0's cell, as the object path's does,
+    with fs, dotdif or blockd as the first algorithm."""
     corpus = (oracle_corpora["tiny"][0], str(tmp_path / "ghost.pgm"))
     spec = oracle_spec(corpus, "bitflip", None, ("block", 8, 16), None, t_grid=(0.5,))
-    with pytest.raises(SweepError) as oracle:
-        sweep_oracle.run_sweep(spec)
-    for jobs in (1, 2):
-        with pytest.raises(SweepError) as core:
-            run_sweep(spec, jobs=jobs)
-        assert str(core.value) == str(oracle.value)
-    assert "tiny-1x1.pgm', t=0.5, rep=0" in str(oracle.value)
+    algorithms = (HalftoneSpec("fs"), HalftoneSpec("dotdif"), HalftoneSpec("blockd", h=3))
+    for first in range(len(algorithms)):
+        spec = dataclasses.replace(spec, algorithms=algorithms[first:] + algorithms[:first])
+        with pytest.raises(SweepError) as oracle:
+            sweep_oracle.run_sweep(spec)
+        for jobs in (1, 2):
+            with pytest.raises(SweepError) as core:
+                run_sweep(spec, jobs=jobs)
+            assert str(core.value) == str(oracle.value)
+        assert "tiny-1x1.pgm', t=0.5, rep=0" in str(oracle.value)
+        assert f"algorithm {algorithms[first].label()!r}" in str(oracle.value)
 
 
 @pytest.mark.parametrize("histogram", (("binary", None, None), ("block", 8, 16)))
@@ -639,6 +670,17 @@ def test_read_records_csv_refuses_ragged_rows(tmp_path, row, got):
     write_records_csv([rec(q=0.25)], path)
     path.write_text(path.read_text() + row + "\n")
     with pytest.raises(ValueError, match=rf"records\.csv:3: expected 11 fields, got {got}$"):
+        read_records_csv(path)
+
+
+@pytest.mark.parametrize("where", ("mid-line", "line-start"))
+def test_read_records_csv_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, where):
+    path = tmp_path / "records.csv"
+    write_records_csv([rec(q=0.25), rec(q=0.5)], path)
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b"a.pgm", b"caf\xff.pgm") if where == "mid-line" else b"\xff" + lines[2]
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValueError, match=r"records\.csv:3: 'utf-8' codec can't decode byte 0xff"):
         read_records_csv(path)
 
 
