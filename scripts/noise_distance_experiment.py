@@ -13,17 +13,18 @@ import argparse
 import sys
 
 from inkchannel import (
+    HalftoneSpec,
     HistogramSpec,
     NoisePower,
     apply_gate,
     derive_seed,
     euclidean_distance,
     gen_noise,
+    halftone,
     image_relative_entropy,
     read_gray,
 )
 from inkchannel.cli import run_command
-from inkchannel.halftone import halftone_floyd_steinberg
 
 
 def positive_int(text):
@@ -44,7 +45,7 @@ def main():
 
 
 def write_noise_distance(args):
-    g = halftone_floyd_steinberg(read_gray(args.image))
+    g = halftone(read_gray(args.image), HalftoneSpec("fs"))
     spec = HistogramSpec(smoothing=1e-9)
     rows = []  # every row is computed before --out is opened, so a bad --seed leaves no file behind
     for k in range(1, args.steps + 1):

@@ -1,4 +1,5 @@
-"""Halftoning algorithms behind a uniform name registry.
+"""Halftoning algorithms behind a uniform name registry: a halftoner is named only as
+halftone(img, HalftoneSpec(name, ...)), and its screens are read from screen_catalog().
 
 Every algorithm maps a GrayImage to a same-sized BinaryImage where local ink
 density tracks local darkness (darkness = (255 - lightness)/255, so a black
@@ -19,16 +20,6 @@ __all__ = [
     "ALGORITHMS",
     "HalftoneSpec",
     "halftone",
-    "halftone_threshold",
-    "halftone_random",
-    "halftone_floyd_steinberg",
-    "halftone_bayer",
-    "halftone_clustered_dot",
-    "halftone_dot_diffusion",
-    "halftone_block_d",
-    "bayer_matrix",
-    "clustered_dot_matrix",
-    "dot_diffusion_classes",
     "screen_catalog",
 ]
 
@@ -87,31 +78,18 @@ _SCREENS = {
 }
 
 
-def bayer_matrix(order: int) -> np.ndarray:
-    HalftoneSpec("bayer", matrix_order=order)
-    return _SCREENS["bayer"][order].copy()
-
-
-def clustered_dot_matrix(order: int) -> np.ndarray:
-    HalftoneSpec("cdot", matrix_order=order)
-    return _SCREENS["cdot"][order].copy()
-
-
-def dot_diffusion_classes() -> np.ndarray:
-    return _CLASS_8.copy()
-
-
 def screen_catalog() -> dict[str, np.ndarray]:
-    """All compiled-in screen/class matrices, for audit."""
+    """Copies of all compiled-in screen/class matrices, for audit: bayer-2, bayer-4, bayer-8, cdot-4,
+    cdot-8 and dotdif-classes."""
     screens = {f"{name}-{order}": m.copy() for name, by_order in _SCREENS.items() for order, m in by_order.items()}
-    return screens | {"dotdif-classes": dot_diffusion_classes()}
+    return screens | {"dotdif-classes": _CLASS_8.copy()}
 
 
 @dataclass(frozen=True)
 class HalftoneSpec:
-    """Algorithm name plus its parameters; irrelevant parameters are ignored
-    but still validated when present.  The kernels check a raw parameter by
-    building the spec they would be dispatched from, so each rule lives here."""
+    """Algorithm name plus its parameters, the one way to name a halftoner; irrelevant parameters
+    are ignored but still validated when present.  Every parameter rule lives here, so a kernel
+    trusts the value the spec hands it."""
 
     algorithm: str
     h: int | None = None            # blockd tile size
@@ -174,20 +152,11 @@ def _per_slice(kernel, pixels: np.ndarray, *param) -> np.ndarray:
     return out
 
 
-def halftone_threshold(img: GrayImage, level: float) -> BinaryImage:
-    """Ink wherever lightness < level*256; level 1 is all ink, level 0 none."""
-    return halftone(img, HalftoneSpec("threshold", level=level))
-
-
 def _random_bits(pixels: np.ndarray, seed: int) -> np.ndarray:
-    """The seed is the spec's, so every image of one shape draws the same u: one draw serves a stack."""
+    """Per-pixel coin: ink where a uniform [0, 1) draw falls below darkness.  The seed is the spec's,
+    so every image of one shape draws the same u: one draw serves a stack."""
     u = np.random.Generator(np.random.PCG64(seed)).random(pixels.shape[:2])
     return _per_slice(lambda image: u < _darkness(image), pixels)
-
-
-def halftone_random(img: GrayImage, seed: int) -> BinaryImage:
-    """Per-pixel coin: ink where a uniform [0,1) draw falls below darkness."""
-    return halftone(img, HalftoneSpec("random", seed=_check_seed(seed)))
 
 
 _FS_WAVES = 32  # M, the waves the FS buffer holds
@@ -196,6 +165,9 @@ _FS_WEIGHTS = np.array([0.1875, 0.3125, 0.0625, 0.4375])  # SW, S, SE, E
 
 def _fs_bits(pixels: np.ndarray) -> np.ndarray:
     """Floyd–Steinberg bits (bool) of uint8 pixels (h, w), or of each slice of a same-shape stack (h, w, K).
+
+    Error diffusion in raster order, in darkness space: a pixel inks when its error-adjusted darkness is
+    >= 0.5 and sends 7/16 of its error E, 3/16 SW, 5/16 S and 1/16 SE; error sent past the border is dropped.
 
     One numpy step per wave k = x + 2y.  Pixel (y, x) takes its SE, S, SW and E shares in that order, from
     waves k-3, k-2, k-1 and k-1, so each step adds SW before E.  A buffer of M waves x (h+1) rows (x K) holds
@@ -241,36 +213,25 @@ def _fs_bits(pixels: np.ndarray) -> np.ndarray:
     return np.moveaxis(out[h:-h].reshape(per, h, w), 0, -1).reshape(pixels.shape)
 
 
-def halftone_floyd_steinberg(img: GrayImage) -> BinaryImage:
-    """Error diffusion, raster scan, kernel 7/16 E, 3/16 SW, 5/16 S, 1/16 SE.
-
-    Works in darkness space; the quantizer emits ink when error-adjusted
-    darkness >= 0.5; error diffused past the border is dropped.
-    """
-    return halftone(img, HalftoneSpec("fs"))
-
-
 def _screen_bits(name: str, pixels: np.ndarray, order: int) -> np.ndarray:
-    """Ordered dither against the named screen of this order, tiled once per shape."""
+    """Ordered dither against the named screen of this order, tiled once per shape: bayer's screen is
+    dispersed-dot, cdot's clustered, its dots growing from the tile centres."""
     thresholds = (_SCREENS[name][order] + 0.5) / (order * order)
     h, w = pixels.shape[:2]
     tiled = np.tile(thresholds, (-(-h // order), -(-w // order)))[:h, :w]
     return _per_slice(lambda image: _darkness(image) > tiled, pixels)
 
 
-def halftone_bayer(img: GrayImage, order: int) -> BinaryImage:
-    """Dispersed-dot ordered dither against the tiled Bayer matrix."""
-    return halftone(img, HalftoneSpec("bayer", matrix_order=order))
-
-
-def halftone_clustered_dot(img: GrayImage, order: int) -> BinaryImage:
-    """Ordered dither against a clustered-dot screen; dots grow from tile centers."""
-    return halftone(img, HalftoneSpec("cdot", matrix_order=order))
-
-
 def _dotdif_bits(pixels: np.ndarray) -> np.ndarray:
-    """Dot diffusion's bits; the weight totals are the shape's, built once, and a class pass serves
-    _DD_CHUNK slices down the work buffer's leading axis, so its lattice rows stay the inner loop."""
+    """Dot diffusion over the 8x8 class matrix, pixels in ascending class order.
+
+    A pixel sends its quantization error to its not-yet-processed 8-neighbours (class strictly greater),
+    weight 2 orthogonal and 1 diagonal, normalized over that set; with no such neighbour it is dropped.
+    One pass per class quantizes that class's pixels (a stride-8 lattice) at once.  A pixel's 8 neighbours
+    lie in one 3x3 window of the tiled map and so carry distinct classes: each pixel takes at most one
+    addition per pass, in class order, as a pixel-at-a-time loop would.  The weight totals are the
+    shape's, built once, and a class pass serves _DD_CHUNK slices down the work buffer's leading axis, so
+    its lattice rows stay the inner loop."""
     h, w = pixels.shape[:2]
     stack = pixels.reshape(h, w, -1)
     classes = np.tile(_CLASS_8.astype(np.int8), (-(-h // 8), -(-w // 8)))[:h, :w]
@@ -295,22 +256,6 @@ def _dotdif_bits(pixels: np.ndarray) -> np.ndarray:
     return np.moveaxis(out, 0, -1).reshape(pixels.shape)
 
 
-def halftone_dot_diffusion(img: GrayImage) -> BinaryImage:
-    """Dot diffusion over the 8x8 class matrix.
-
-    Pixels are processed in ascending class order; quantization error goes to
-    the not-yet-processed 8-neighbors (class strictly greater), weight 2
-    orthogonal and 1 diagonal, normalized over the eligible set.  With no
-    eligible neighbor the error is dropped.
-
-    One pass per class quantizes that class's pixels (a stride-8 lattice) at
-    once.  A pixel's 8 neighbors lie in one 3x3 window of the tiled map and so
-    carry distinct classes: each pixel takes at most one addition per pass, in
-    class order, as a pixel-at-a-time loop would.
-    """
-    return halftone(img, HalftoneSpec("dotdif"))
-
-
 def _block_dots(light: np.ndarray, th: int, tw: int) -> np.ndarray:
     """blockd's dots for a region cut into whole th x tw tiles, all tiles at once.
 
@@ -329,8 +274,10 @@ def _block_dots(light: np.ndarray, th: int, tw: int) -> np.ndarray:
 
 
 def _blockd_image(pixels: np.ndarray, h: int) -> np.ndarray:
-    """blockd's bits of one image; a stack goes through it a slice at a time, as the sort's temporaries
-    grow with the tiles.  The body, right column, bottom row and corner are each a grid of equal-size tiles."""
+    """Block halftoning of one image: each h x h tile gets round(mean darkness x area) ink dots at its
+    darkest positions, ties broken in row-major order; edge tiles keep their true size, and h = 1 is
+    per-pixel rounding.  The body, right column, bottom row and corner are each a grid of equal-size
+    tiles.  A stack goes through it a slice at a time, as the sort's temporaries grow with the tiles."""
     out = np.empty(pixels.shape, dtype=bool)
     body_y, body_x = pixels.shape[0] - pixels.shape[0] % h, pixels.shape[1] - pixels.shape[1] % h
     for ys in (slice(0, body_y), slice(body_y, None)):
@@ -341,21 +288,13 @@ def _blockd_image(pixels: np.ndarray, h: int) -> np.ndarray:
     return out
 
 
-def halftone_block_d(img: GrayImage, h: int) -> BinaryImage:
-    """Block halftoning: per h x h tile, place round(mean darkness * area) ink
-    dots at the darkest positions, ties broken in row-major order.
-
-    Edge tiles keep their true size.  h = 1 reduces to per-pixel rounding.
-    """
-    return halftone(img, HalftoneSpec("blockd", h=h))
-
-
 class _Required(str):
     """Registry marker for a field without a default; the text names it in errors."""
 
 
 # name -> (bits kernel, the one HalftoneSpec field it takes or None, label tag or
-# "" for the bare name, default value or _Required)
+# "" for the bare name, default value or _Required); threshold inks where lightness < level * 256,
+# so level 1 is all ink and level 0 none
 _REGISTRY = {
     "threshold": (lambda pixels, level: pixels < level * 256, "level", "l", 0.5),
     "random": (_random_bits, "seed", "s", _Required("an explicit seed")),

@@ -127,7 +127,7 @@ class BinaryImage:
 
     def ink_fraction(self) -> float:
         """Fraction of 1-bits (printed dots)."""
-        return np.count_nonzero(self.bits) / self.bits.size
+        return int(np.count_nonzero(self.bits)) / self.bits.size
 
 
 @dataclass(frozen=True)

@@ -209,7 +209,7 @@ def _run_task(spec: SweepSpec, task: tuple) -> list[RobustnessRecord]:
             g = next(bits)
         except Exception as exc:
             raise SweepError(f"sweep aborted at {cell}: {exc}") from exc
-        n, ink_in, ref = g.size, np.count_nonzero(g), None
+        n, ink_in, ref = g.size, int(np.count_nonzero(g)), None
         f_in, mask, image_id = ink_in / n, spec.block and _block_mask(g, spec.block.size), Path(path).name
         for ti, t in enumerate(spec.t_grid):
             # the achieved density is 0 or 1 (no byte or every byte is below the threshold): one field for every seed
@@ -223,7 +223,7 @@ def _run_task(spec: SweepSpec, task: tuple) -> list[RobustnessRecord]:
                         gp = _channel_bits(g, v, kind, mask)
                         if ref is None:  # a misfit histogram fails in the first cell
                             ref = _kl_reference(_histogram_bins(g, hist), hist.smoothing)
-                        q, ink = _kl_from(ref, _histogram_bins(gp, hist)), np.count_nonzero(gp)
+                        q, ink = _kl_from(ref, _histogram_bins(gp, hist)), int(np.count_nonzero(gp))
                         e = math.sqrt((np.count_nonzero(v) if flips else ink - ink_in) / n)
                         f_out = ink / n
                     records.append(RobustnessRecord(label, image_id, kind, t, h, rep, seed, q, e, f_in, f_out))

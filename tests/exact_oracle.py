@@ -1,4 +1,5 @@
-"""Exact mean and variance of a sweep cell's Q under the binary histogram.
+"""Exact laws of a sweep cell: Q under the binary histogram, and the bins of
+the block histogram.
 
 Under ``hist = binary`` a cell's Q depends only on the halftone's ink count
 n1 of n pixels and the ink count m after the channel.  Each noise bit is 1
@@ -10,11 +11,18 @@ on 0..255 and the bit is r < 256 t.  So m has an exact law:
     block erase:  m = n1 + Bin(z, rho)
 
 where n0 = n - n1 and z counts the zeros in the tiles whose centre bit is
-ink.  E[Q] and Var[Q] are then finite sums over m = 0..n.  numpy and math
-only; nothing here calls the package's channel or metric code.
+ink.  E[Q] and Var[Q] are then finite sums over m = 0..n.
+
+The same law holds tile by tile for the block histogram: a histogram tile
+of area a with k ink bits ends with k - Bin(k, rho) + Bin(a - k, rho),
+k + Bin(a - k, rho) or k + Bin(z, rho) ink, z now its own zeros under an
+inked erase-tile centre.  Tiles draw disjoint noise, so a bin's fraction is
+a mean of independent indicators.  numpy and math only; nothing here calls
+the package's channel, histogram or metric code.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,29 +43,39 @@ def binomial_pmf(trials: int, rho: float) -> np.ndarray:
                    for k in range(trials + 1)])
 
 
-def erasable_zeros(bits: np.ndarray, block: int) -> int:
-    """Zeros in the block x block tiles whose centre pixel lies in the image and is ink."""
+def erase_mask(bits: np.ndarray, block: int) -> np.ndarray:
+    """True over every block x block tile whose centre pixel lies in the image and is ink."""
     c = (block - 1) // 2
     height, width = bits.shape
-    z = 0
+    mask = np.zeros(bits.shape, dtype=bool)
     for y0 in range(0, height, block):
         for x0 in range(0, width, block):
             if y0 + c < height and x0 + c < width and bits[y0 + c, x0 + c]:
-                z += int(np.sum(bits[y0 : y0 + block, x0 : x0 + block] == 0))
-    return z
+                mask[y0 : y0 + block, x0 : x0 + block] = True
+    return mask
+
+
+def erasable_zeros(bits: np.ndarray, block: int) -> int:
+    """Zeros in the block x block tiles whose centre pixel lies in the image and is ink."""
+    return int(np.count_nonzero(erase_mask(bits, block) & (bits == 0)))
+
+
+def count_pmf(n: int, n1: int, erasable: int, kind: str, rho: float) -> np.ndarray:
+    """P(m = k) for k = 0..n, m the ink count after the channel of n bits holding n1 ink, ``erasable``
+    of their zeros open to an erase (ignored under bitflip)."""
+    if kind == "bitflip":
+        kept = binomial_pmf(n1, rho)[::-1]  # n1 - Bin(n1, rho) on 0..n1
+        return np.convolve(kept, binomial_pmf(n - n1, rho))
+    pmf = np.zeros(n + 1)
+    pmf[n1 : n1 + erasable + 1] = binomial_pmf(erasable, rho)
+    return pmf
 
 
 def ink_count_pmf(bits: np.ndarray, kind: str, t: float, block: int | None = None) -> np.ndarray:
     """P(m = k) for k = 0..n, m the ink count after the channel."""
     n, n1 = bits.size, int(np.count_nonzero(bits))
-    rho = noise_probability(t)
-    if kind == "bitflip":
-        kept = binomial_pmf(n1, rho)[::-1]  # n1 - Bin(n1, rho) on 0..n1
-        return np.convolve(kept, binomial_pmf(n - n1, rho))
-    added = binomial_pmf(n - n1 if kind == "erase" else erasable_zeros(bits, block), rho)
-    pmf = np.zeros(n + 1)
-    pmf[n1 : n1 + added.size] = added
-    return pmf
+    erasable = erasable_zeros(bits, block) if kind == "block-erase" else n - n1
+    return count_pmf(n, n1, erasable, kind, noise_probability(t))
 
 
 def binary_q(n1: int, m: np.ndarray, n: int, smoothing: float | None) -> np.ndarray:
@@ -83,3 +101,32 @@ def binary_q_moments(bits: np.ndarray, kind: str, t: float, smoothing: float | N
     weights = pmf[live] / pmf[live].sum()
     mean = float(np.dot(weights, q))
     return mean, float(np.dot(weights, (q - mean) ** 2))
+
+
+@lru_cache(maxsize=None)
+def tile_bin_pmf(area: int, ink: int, erasable: int, kind: str, rho: float, bins: int) -> tuple:
+    """P(the tile falls in bin j) for j = 0..bins-1, the tile's ink count after the channel binned by
+    the histogram's rule min(floor(ink / area * bins), bins - 1)."""
+    p = [0.0] * bins
+    for c, pc in enumerate(count_pmf(area, ink, erasable, kind, rho).tolist()):
+        p[min(int(c / area * bins), bins - 1)] += pc
+    return tuple(p)
+
+
+def block_bin_moments(bits: np.ndarray, kind: str, t: float, block: int, bins: int,
+                      erase_block: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (E, Var) of each bin's fraction of the block x block, ``bins``-bin histogram after the
+    channel.  Edge tiles keep their true size, and a block past one side is one tile of that side."""
+    rho = noise_probability(t)
+    erasable = (bits == 0) & erase_mask(bits, erase_block) if kind == "block-erase" else bits == 0
+    height, width = bits.shape
+    mean, var, tiles = np.zeros(bins), np.zeros(bins), 0
+    for y0 in range(0, height, block):
+        for x0 in range(0, width, block):
+            tile = np.s_[y0 : y0 + block, x0 : x0 + block]
+            z = int(np.count_nonzero(erasable[tile]))
+            p = np.array(tile_bin_pmf(bits[tile].size, int(np.count_nonzero(bits[tile])), z, kind, rho, bins))
+            mean += p
+            var += p * (1 - p)
+            tiles += 1
+    return mean / tiles, var / tiles**2

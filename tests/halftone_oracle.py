@@ -8,7 +8,7 @@ same output bits.  Each returns the uint8 bit array.
 
 import numpy as np
 
-from inkchannel.halftone import _DD_NEIGHBORS, _darkness, dot_diffusion_classes
+from inkchannel.halftone import _DD_NEIGHBORS, _darkness, screen_catalog
 
 
 def floyd_steinberg(img) -> np.ndarray:
@@ -48,7 +48,7 @@ def dot_diffusion(img) -> np.ndarray:
     h, w = img.height, img.width
     buf = _darkness(img.pixels).tolist()
     out = [[0] * w for _ in range(h)]
-    cls = dot_diffusion_classes().tolist()
+    cls = screen_catalog()["dotdif-classes"].tolist()
 
     buckets = [[] for _ in range(64)]
     for y in range(h):

@@ -19,6 +19,7 @@ from inkchannel import (
     bsc_capacity,
     euclidean_distance,
     gen_noise,
+    halftone,
     image_relative_entropy,
     noise_entropy_curve,
     read_binary,
@@ -32,7 +33,6 @@ from inkchannel import (
     write_gray,
 )
 from inkchannel.channel import BlockSpec, noise_density
-from inkchannel.halftone import halftone_floyd_steinberg
 from inkchannel.robustness import difference_surface
 from inkchannel.cli import main as cli_main
 
@@ -76,7 +76,7 @@ def test_criterion_03_divergence_minimizer_tracks_density():
     details = []
     ok = True
     for i, gray_level in enumerate((179, 128, 77)):  # f1 near 0.3, 0.5, 0.7
-        g = halftone_floyd_steinberg(constant_gray(gray_level, 256, 256))
+        g = halftone(constant_gray(gray_level, 256, 256), HalftoneSpec("fs"))
         f1 = g.ink_fraction()
         qs = []
         for j, t in enumerate(grid):
@@ -93,7 +93,7 @@ def test_criterion_03_divergence_minimizer_tracks_density():
 def test_criterion_04_monotone_degradation_under_bitflip():
     start = time.perf_counter()
     spec = HistogramSpec(smoothing=1e-9)
-    g = halftone_floyd_steinberg(natural_gray(256, 256))
+    g = halftone(natural_gray(256, 256), HalftoneSpec("fs"))
     f_in = g.ink_fraction()
     assert not 0.45 <= f_in <= 0.55, f"test image halftone density {f_in} too close to 0.5"
     grid = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
@@ -116,7 +116,7 @@ def test_criterion_04_monotone_degradation_under_bitflip():
 
 
 def test_criterion_05_closed_form_oracles():
-    g = halftone_floyd_steinberg(constant_gray(179, 256, 256))
+    g = halftone(constant_gray(179, 256, 256), HalftoneSpec("fs"))
     f1 = g.ink_fraction()
     reps = 32
 
@@ -224,7 +224,6 @@ def test_criterion_08_halftone_density_preservation():
         HalftoneSpec("blockd", h=19),
         HalftoneSpec("dotdif"),
     ]
-    from inkchannel import halftone
 
     worst = 0.0
     ok = True

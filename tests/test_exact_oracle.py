@@ -1,16 +1,21 @@
-"""The sweep's binary-histogram Q against its exact law (tests/exact_oracle.py).
+"""The sweep's binary-histogram Q and its block-histogram bins against their
+exact laws (tests/exact_oracle.py).
 
 The exact mean and variance depend only on the halftone and the noise
 probability ceil(256 t)/256, not on any pinned byte, so they check the
-statistics of the noise draw and the channel without a digest.
+statistics of the noise draw, the channel and the histogram tiling without
+a digest.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from inkchannel import BlockSpec, HalftoneSpec, HistogramSpec, SweepSpec, halftone, read_gray, run_sweep, write_gray
+from inkchannel.channel import _block_mask, _channel_bits, _noise_bits
+from inkchannel.imagery import _histogram_bins
 
 import exact_oracle
 from conftest import gradient_gray, natural_gray
@@ -92,3 +97,27 @@ def test_exact_law_of_the_ink_count():
             assert pmf.size == n + 1
             assert math.isclose(pmf.sum(), 1.0, rel_tol=1e-12)
             assert math.isclose(float(np.dot(np.arange(n + 1), pmf)), expected, rel_tol=1e-12, abs_tol=1e-12)
+
+
+BLOCK_HIST = HistogramSpec("block", block=8, bins=16)  # sweep-halftone-tiled's block:8x16
+# a 256^2 scene as the benchmark sweeps, ragged tiles on both axes, and blocks past one side
+BLOCK_SHAPES = ((256, 256), (97, 131), (5, 40), (13, 3))
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_block_histogram_bins_within_four_standard_errors_of_exact(kind):
+    """Over REPS noise fields, each bin's mean fraction of the block histogram after _channel_bits lies
+    within 4 standard errors of its exact mean, on fs and blockd halftones of each shape."""
+    live = set()
+    for (height, width), algorithm, t in itertools.product(BLOCK_SHAPES, ALGORITHMS, (0.05, 0.2, 0.5)):
+        g = halftone(natural_gray(width, height), algorithm).bits
+        mask = _block_mask(g, KINDS[kind]) if KINDS[kind] else None
+        fractions = np.array([_histogram_bins(_channel_bits(g, _noise_bits(g.shape, t, seed), kind, mask), BLOCK_HIST)
+                              for seed in range(REPS)])
+        mean, var = exact_oracle.block_bin_moments(g, kind, t, BLOCK_HIST.block, BLOCK_HIST.bins, KINDS[kind])
+        case = (height, width, algorithm.label(), t)
+        assert math.isclose(mean.sum(), 1.0, rel_tol=1e-12), case
+        assert (np.abs(fractions.mean(axis=0) - mean) <= 4 * np.sqrt(var / REPS) + 1e-12).all(), case
+        if var.max() > 0:
+            live.add((height, width))
+    assert live == set(BLOCK_SHAPES)  # a point mass in every bin of every case would make the bound vacuous

@@ -2,24 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from inkchannel import GrayImage, HalftoneSpec, halftone, screen_catalog
-from inkchannel.halftone import (
-    _fs_bits,
-    _halftone_bits,
-    bayer_matrix,
-    clustered_dot_matrix,
-    dot_diffusion_classes,
-    halftone_bayer,
-    halftone_block_d,
-    halftone_clustered_dot,
-    halftone_dot_diffusion,
-    halftone_floyd_steinberg,
-    halftone_random,
-    halftone_threshold,
-)
+from inkchannel.halftone import _fs_bits, _halftone_bits
 
 import halftone_oracle
 from conftest import constant_gray
@@ -27,6 +14,10 @@ from conftest import constant_gray
 
 def gray(rows):
     return GrayImage(np.array(rows, dtype=np.uint8))
+
+
+def one_image(img, spec):
+    return halftone(img, spec).bits
 
 
 ALL_SPECS = [
@@ -101,11 +92,11 @@ def test_spec_labels():
 # ---------------------------------------------------------------------------
 
 def test_bayer_base_case():
-    assert bayer_matrix(2).tolist() == [[0, 2], [3, 1]]
+    assert screen_catalog()["bayer-2"].tolist() == [[0, 2], [3, 1]]
 
 
 def test_bayer_order_4_matches_classic_table():
-    assert bayer_matrix(4).tolist() == [
+    assert screen_catalog()["bayer-4"].tolist() == [
         [0, 8, 2, 10],
         [12, 4, 14, 6],
         [3, 11, 1, 9],
@@ -114,7 +105,7 @@ def test_bayer_order_4_matches_classic_table():
 
 
 def test_bayer_recursive_block_structure():
-    m4, m8 = bayer_matrix(4), bayer_matrix(8)
+    m4, m8 = screen_catalog()["bayer-4"], screen_catalog()["bayer-8"]
     assert np.array_equal(m8[:4, :4], 4 * m4)
     assert np.array_equal(m8[:4, 4:], 4 * m4 + 2)
     assert np.array_equal(m8[4:, :4], 4 * m4 + 3)
@@ -129,7 +120,7 @@ def test_all_screens_are_permutations():
 def test_clustered_dot_grows_from_center():
     # the first dots of each screen sit strictly inside the tile
     for order in (4, 8):
-        m = clustered_dot_matrix(order)
+        m = screen_catalog()[f"cdot-{order}"]
         interior = m[1:-1, 1:-1]
         assert interior.min() == 0
         edge_min = min(m[0].min(), m[-1].min(), m[:, 0].min(), m[:, -1].min())
@@ -138,7 +129,7 @@ def test_clustered_dot_grows_from_center():
 
 
 def test_dot_diffusion_classes_structure():
-    m = dot_diffusion_classes()
+    m = screen_catalog()["dotdif-classes"]
     assert m.shape == (8, 8)
     assert sorted(m.ravel().tolist()) == list(range(64))
 
@@ -149,29 +140,29 @@ def test_dot_diffusion_classes_structure():
 
 def test_threshold_comparison_rule():
     img = gray([[127, 128]])
-    out = halftone_threshold(img, 0.5)
+    out = halftone(img, HalftoneSpec("threshold", level=0.5))
     assert out.bits.tolist() == [[1, 0]]  # 127 < 128 <= 128
 
 
 def test_threshold_level_extremes():
     img = gray([[0, 100, 255]])
-    assert halftone_threshold(img, 0.0).bits.sum() == 0
-    assert halftone_threshold(img, 1.0).bits.sum() == 3  # every pixel <= 255 < 256
+    assert halftone(img, HalftoneSpec("threshold", level=0.0)).bits.sum() == 0
+    assert halftone(img, HalftoneSpec("threshold", level=1.0)).bits.sum() == 3  # every pixel <= 255 < 256
 
 
 @given(st.integers(0, 255), st.floats(0, 1))
 def test_threshold_matches_rule_pointwise(value, level):
-    out = halftone_threshold(constant_gray(value, 4, 4), level)
+    out = halftone(constant_gray(value, 4, 4), HalftoneSpec("threshold", level=level))
     expect = 1 if value < level * 256 else 0
     assert (out.bits == expect).all()
 
 
 def test_fs_single_pixel():
-    assert halftone_floyd_steinberg(gray([[100]])).bits.tolist() == [[1]]  # darkness 155/255 >= 0.5
+    assert halftone(gray([[100]]), HalftoneSpec("fs")).bits.tolist() == [[1]]  # darkness 155/255 >= 0.5
 
 
 def test_fs_mid_gray_preserves_density():
-    out = halftone_floyd_steinberg(constant_gray(128, 256, 256))
+    out = halftone(constant_gray(128, 256, 256), HalftoneSpec("fs"))
     assert abs(out.ink_fraction() - 127 / 255) <= 0.01
 
 
@@ -179,11 +170,11 @@ def test_fs_error_diffusion_against_tiny_oracle():
     # direct hand evaluation on a 1x3 row [64, 64, 64]: darkness 0.74902
     # x0: 0.749 -> 1, err -0.251; x1: 0.749 - 0.251*7/16 = 0.639 -> 1, err -0.361
     # x2: 0.749 - 0.361*7/16 = 0.591 -> 1
-    out = halftone_floyd_steinberg(gray([[64, 64, 64]]))
+    out = halftone(gray([[64, 64, 64]]), HalftoneSpec("fs"))
     assert out.bits.tolist() == [[1, 1, 1]]
     # and a row where the error flips the neighbor: [128, 128]
     # x0: 0.498 -> 0, err 0.498; x1: 0.498 + 0.498*7/16 = 0.716 -> 1
-    out = halftone_floyd_steinberg(gray([[128, 128]]))
+    out = halftone(gray([[128, 128]]), HalftoneSpec("fs"))
     assert out.bits.tolist() == [[0, 1]]
 
 
@@ -193,13 +184,13 @@ def test_bayer_constant_gray_matches_count_oracle():
         for value in (0, 32, 101, 128, 200, 255):
             darkness = (255 - value) / 255
             count = sum(1 for k in range(n2) if darkness > (k + 0.5) / n2)
-            out = halftone_bayer(constant_gray(value, order * 8, order * 8), order)
+            out = halftone(constant_gray(value, order * 8, order * 8), HalftoneSpec("bayer", matrix_order=order))
             assert out.ink_fraction() == pytest.approx(count / n2, abs=0)
 
 
 def test_cdot_mid_gray_inks_the_eight_most_central_positions():
-    out = halftone_clustered_dot(constant_gray(128, 16, 16), 4)
-    screen = clustered_dot_matrix(4)
+    out = halftone(constant_gray(128, 16, 16), HalftoneSpec("cdot", matrix_order=4))
+    screen = screen_catalog()["cdot-4"]
     expect = (screen < 8).astype(np.uint8)
     for y in range(0, 16, 4):
         for x in range(0, 16, 4):
@@ -209,12 +200,12 @@ def test_cdot_mid_gray_inks_the_eight_most_central_positions():
 
 
 def test_dotdif_mid_gray_density():
-    out = halftone_dot_diffusion(constant_gray(128, 256, 256))
+    out = halftone(constant_gray(128, 256, 256), HalftoneSpec("dotdif"))
     assert abs(out.ink_fraction() - 127 / 255) <= 0.03
 
 
 def test_random_density_binomial():
-    out = halftone_random(constant_gray(128, 512, 512), seed=5)
+    out = halftone(constant_gray(128, 512, 512), HalftoneSpec("random", seed=5))
     p = 127 / 255
     sigma = math.sqrt(p * (1 - p) / (512 * 512))
     assert abs(out.ink_fraction() - p) <= 3 * sigma
@@ -222,32 +213,32 @@ def test_random_density_binomial():
 
 def test_random_extremes_for_any_seed():
     for seed in (0, 1, 999999):
-        assert halftone_random(constant_gray(255, 8, 8), seed).bits.sum() == 0
-        assert halftone_random(constant_gray(0, 8, 8), seed).bits.sum() == 64
+        assert halftone(constant_gray(255, 8, 8), HalftoneSpec("random", seed=seed)).bits.sum() == 0
+        assert halftone(constant_gray(0, 8, 8), HalftoneSpec("random", seed=seed)).bits.sum() == 64
 
 
 def test_blockd_places_dot_at_darkest_position():
-    out = halftone_block_d(gray([[0, 255], [255, 255]]), h=2)
+    out = halftone(gray([[0, 255], [255, 255]]), HalftoneSpec("blockd", h=2))
     assert out.bits.tolist() == [[1, 0], [0, 0]]  # mean darkness 0.25 -> one dot
 
 
 def test_blockd_h1_is_pixel_rounding():
     img = gray([list(range(0, 256, 16))])
-    out = halftone_block_d(img, h=1)
+    out = halftone(img, HalftoneSpec("blockd", h=1))
     expect = [1 if (255 - v) / 255 >= 0.5 else 0 for v in range(0, 256, 16)]
     assert out.bits.tolist() == [expect]
 
 
 def test_blockd_tie_break_is_row_major():
     # four equally dark pixels, k = 2: the first two in row-major order win
-    out = halftone_block_d(constant_gray(127, 2, 2), h=2)
+    out = halftone(constant_gray(127, 2, 2), HalftoneSpec("blockd", h=2))
     # darkness 128/255 each, sum 2.0078 -> k = 2
     assert out.bits.tolist() == [[1, 1], [0, 0]]
 
 
 def test_blockd_edge_tiles_keep_true_size():
     img = constant_gray(0, 5, 5)
-    out = halftone_block_d(img, h=3)
+    out = halftone(img, HalftoneSpec("blockd", h=3))
     assert out.bits.all()
 
 
@@ -272,10 +263,10 @@ def test_vector_kernels_match_scalar_oracle(palette):
         values = PALETTES[palette]
         pixels = rng.integers(0, 256, size=(height, width)) if values is None else rng.choice(values, size=(height, width))
         img = GrayImage(pixels.astype(np.uint8))
-        assert np.array_equal(halftone_floyd_steinberg(img).bits, halftone_oracle.floyd_steinberg(img)), (height, width)
-        assert np.array_equal(halftone_dot_diffusion(img).bits, halftone_oracle.dot_diffusion(img)), (height, width)
+        assert np.array_equal(one_image(img, HalftoneSpec("fs")), halftone_oracle.floyd_steinberg(img)), (height, width)
+        assert np.array_equal(one_image(img, HalftoneSpec("dotdif")), halftone_oracle.dot_diffusion(img)), (height, width)
         for h in (int(rng.integers(1, 9)), int(rng.integers(1, max(height, width) + 5))):
-            assert np.array_equal(halftone_block_d(img, h).bits, halftone_oracle.block_d(img, h)), (height, width, h)
+            assert np.array_equal(one_image(img, HalftoneSpec("blockd", h=h)), halftone_oracle.block_d(img, h)), (height, width, h)
 
 
 def test_fs_stack_matches_scalar_oracle_slice_by_slice():
@@ -296,16 +287,12 @@ def test_fs_stack_matches_scalar_oracle_slice_by_slice():
 
 
 # algorithm -> (its spec for one stack, drawn from rng and the image shape; the bits of one image, from
-# the scalar loop for dotdif and blockd and from the K = 1 public function for the rest); fs is above
+# the scalar loop for dotdif and blockd and from halftone() on that image alone for the rest); fs is above
 STACK_ORACLES = {
-    "threshold": (lambda rng, shape: HalftoneSpec("threshold", level=float(rng.random())),
-                  lambda img, spec: halftone_threshold(img, spec.level).bits),
-    "random": (lambda rng, shape: HalftoneSpec("random", seed=int(rng.integers(1 << 63))),
-               lambda img, spec: halftone_random(img, spec.seed).bits),
-    "bayer": (lambda rng, shape: HalftoneSpec("bayer", matrix_order=int(rng.choice([2, 4, 8]))),
-              lambda img, spec: halftone_bayer(img, spec.matrix_order).bits),
-    "cdot": (lambda rng, shape: HalftoneSpec("cdot", matrix_order=int(rng.choice([4, 8]))),
-             lambda img, spec: halftone_clustered_dot(img, spec.matrix_order).bits),
+    "threshold": (lambda rng, shape: HalftoneSpec("threshold", level=float(rng.random())), one_image),
+    "random": (lambda rng, shape: HalftoneSpec("random", seed=int(rng.integers(1 << 63))), one_image),
+    "bayer": (lambda rng, shape: HalftoneSpec("bayer", matrix_order=int(rng.choice([2, 4, 8]))), one_image),
+    "cdot": (lambda rng, shape: HalftoneSpec("cdot", matrix_order=int(rng.choice([4, 8]))), one_image),
     "dotdif": (lambda rng, shape: HalftoneSpec("dotdif"), lambda img, spec: halftone_oracle.dot_diffusion(img)),
     "blockd": (lambda rng, shape: HalftoneSpec("blockd", h=int(rng.integers(1, max(shape) + 5))),
                lambda img, spec: halftone_oracle.block_d(img, spec.h)),
@@ -344,7 +331,7 @@ def test_fs_adds_sw_share_before_e_share(rows, bits):
     show it)."""
     img = gray(rows)
     assert halftone_oracle.floyd_steinberg(img).tolist() == bits
-    assert halftone_floyd_steinberg(img).bits.tolist() == bits
+    assert halftone(img, HalftoneSpec("fs")).bits.tolist() == bits
 
 
 # ---------------------------------------------------------------------------
@@ -402,15 +389,3 @@ def test_monotone_in_darkness(spec):
     for value in range(0, 256, 15):
         counts.append(int(halftone(constant_gray(value, 16, 16), spec).bits.sum()))
     assert counts == sorted(counts, reverse=True)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(1, 20), st.integers(1, 20), st.integers(0, 2**32))
-def test_dispatch_matches_direct_calls(w, h, seed):
-    rng = np.random.Generator(np.random.PCG64(seed))
-    img = GrayImage(rng.integers(0, 256, size=(h, w), dtype=np.uint8))
-    assert np.array_equal(halftone(img, HalftoneSpec("fs")).bits, halftone_floyd_steinberg(img).bits)
-    assert np.array_equal(
-        halftone(img, HalftoneSpec("random", seed=seed)).bits, halftone_random(img, seed).bits
-    )
-    assert np.array_equal(halftone(img, HalftoneSpec("blockd", h=3)).bits, halftone_block_d(img, 3).bits)

@@ -427,6 +427,10 @@ def test_binary_histogram_counts_ones():
     assert hist.bins.tolist() == [0.25, 0.75]
 
 
+def test_ink_fraction_is_a_python_float():
+    assert type(binimg([[1, 0, 1, 1]]).ink_fraction()) is float
+
+
 @settings(max_examples=60, deadline=None)
 @given(binary_images())
 def test_binary_histogram_sums_to_one_exactly(img):

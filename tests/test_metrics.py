@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from inkchannel import (
     BinaryImage,
     GrayImage,
+    HalftoneSpec,
     Histogram,
     HistogramSpec,
     NoisePower,
@@ -15,12 +16,12 @@ from inkchannel import (
     build_histogram,
     euclidean_distance,
     gen_noise,
+    halftone,
     image_relative_entropy,
     noise_entropy_curve,
     relative_entropy,
 )
 from inkchannel.channel import noise_density
-from inkchannel.halftone import halftone_floyd_steinberg
 from inkchannel.metrics import _kl_from, _kl_reference
 
 import sweep_oracle
@@ -303,7 +304,7 @@ def test_noise_entropy_curve_rejects_bad_reps():
 
 def test_expected_distance_oracle():
     # E[e(v,g)^2] = f1*(1-d) + (1-f1)*d for threshold noise of achieved density d
-    g = halftone_floyd_steinberg(constant_gray(179, 256, 256))
+    g = halftone(constant_gray(179, 256, 256), HalftoneSpec("fs"))
     f1 = g.ink_fraction()
     power = NoisePower(0.4)
     d = noise_density(power)
@@ -320,7 +321,7 @@ def test_expected_distance_oracle():
 def test_divergence_minimizer_sits_at_halftone_density():
     # KL(Bern(f1) || Bern(d)) over a t grid bottoms out at the point nearest f1
     spec = HistogramSpec()
-    g = halftone_floyd_steinberg(constant_gray(77, 128, 128))  # f1 ~ 0.698
+    g = halftone(constant_gray(77, 128, 128), HalftoneSpec("fs"))  # f1 ~ 0.698
     f1 = g.ink_fraction()
     grid = [round(0.05 * k, 2) for k in range(1, 20)]
     qs = []

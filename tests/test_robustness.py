@@ -624,6 +624,21 @@ def test_records_csv_round_trip(tmp_path):
     assert read_records_csv(path) == records
 
 
+@pytest.mark.parametrize("kind", ["bitflip", "erase"])
+def test_sweep_records_read_back_with_the_same_types(corpus_dir, tmp_path, kind):
+    """Every float field of a sweep record is a Python float, as in the record read back from its CSV,
+    so repr(record) prints plain numbers, not np.float64(...)."""
+    records = run_sweep(small_spec(corpus_dir, channel_kind=kind))
+    path = tmp_path / "records.csv"
+    write_records_csv(records, path)
+    back = read_records_csv(path)
+    assert back == records
+    for built, read in zip(records, back):
+        assert [type(v) for v in vars(built).values()] == [type(v) for v in vars(read).values()]
+    assert {type(getattr(r, f)) for r in records for f in ("t", "q_bits", "e_dist", "f_in", "f_out")} == {float}
+    assert "np." not in repr(records)
+
+
 def test_record_invariants_enforced():
     with pytest.raises(ValueError):
         rec(q=-0.1)
@@ -699,11 +714,10 @@ def test_read_records_csv_skips_blank_lines(tmp_path):
 def test_bitflip_q_matches_bernoulli_kl_oracle():
     # E q ~ KL(Bern(f_in) || Bern(f_in(1-t) + (1-f_in)t)) under ideal flips;
     # t = 0.25 makes the quantized flip probability equal to t exactly
-    from inkchannel import NoisePower, transmit_bitflip, image_relative_entropy
-    from inkchannel.halftone import halftone_floyd_steinberg
+    from inkchannel import NoisePower, halftone, image_relative_entropy, transmit_bitflip
     from conftest import constant_gray
 
-    g = halftone_floyd_steinberg(constant_gray(179, 256, 256))
+    g = halftone(constant_gray(179, 256, 256), HalftoneSpec("fs"))
     f_in, t = g.ink_fraction(), 0.25
     ef = f_in * (1 - t) + (1 - f_in) * t
     oracle = f_in * math.log2(f_in / ef) + (1 - f_in) * math.log2((1 - f_in) / (1 - ef))
