@@ -45,9 +45,12 @@ _DD_NEIGHBORS = (
     (1, -1, 1), (1, 0, 2), (1, 1, 1),
 )
 
-# in class order: each class's cell (r, s) in the 8x8 tile and its later neighbors (dy, dx, weight)
+# in class order: each class's cell (r, s) in the 8x8 tile, and the polyphase slot of each later neighbour
+# (dy, dx, weight): its class ((r + dy) mod 8, (s + dx) mod 8), the tiles it lies down ((r + dy) // 8) and
+# across ((s + dx) // 8), and its weight
 _DD_ORDER = tuple(
-    (r, s, tuple(n for n in _DD_NEIGHBORS if _CLASS_8[(r + n[0]) % 8, (s + n[1]) % 8] > c))
+    (r, s, tuple((*divmod(r + dy, 8)[::-1], *divmod(s + dx, 8)[::-1], wgt)
+                 for dy, dx, wgt in _DD_NEIGHBORS if _CLASS_8[(r + dy) % 8, (s + dx) % 8] > c))
     for c, (r, s) in enumerate(divmod(i, 8) for i in np.argsort(_CLASS_8, axis=None).tolist())
 )
 
@@ -174,18 +177,19 @@ def _fs_bits(pixels: np.ndarray) -> np.ndarray:
     pixel (y, x) at wave k, row y, so a wave is a run of rows.  Its SW, S and SE shares go in one (3, n) add
     to row y+1 of the next three waves (row h soaks up what passes the bottom), then E to row y of wave k+1;
     what passes a side lands on a slot off the image, which no wave reads.  Every M - 3 waves the last 3
-    move to the front and the rest take their darkness, read through one view of an image-major copy of the
-    pixels whose [k, y] is flat index k + y(w-2); the bits go out through the same view, so each image's
-    bits are contiguous.  h slots of padding on each side keep every slot of the view in bounds, strides
-    <= 0 at w <= 2 included.
+    move to the front and the rest take their darkness (255 - p) / 255 on the band of rows they hold on the
+    image.  It is read through one view of a uint8 copy of 255 - p (exact) as (h*w, K) rows, stack
+    innermost as in the input, whose [k, y] is row k + y(w-2); the bits go out through the same view of a
+    like buffer, so a pixel's darkness fill and its bit write each touch K contiguous bytes.  h rows of
+    padding on each side keep every row of the view in bounds, strides <= 0 at w <= 2 included.
     """
     h, w, *stack = pixels.shape
     per = pixels.size // (h * w)  # K, or 1
     waves = w + 2 * h - 2
-    flat, out = np.zeros(pixels.size + 2 * h, dtype=np.uint8), np.zeros(pixels.size + 2 * h, dtype=bool)
-    flat[h:-h].reshape(per, h, w)[...] = np.moveaxis(pixels.reshape(h, w, per), -1, 0)
-    light, bits = (
-        np.lib.stride_tricks.as_strided(a[h:], (waves, h, *stack), (1, w - 2, *[h * w] * len(stack)))
+    flat, out = np.zeros((h * w + 2 * h, per), dtype=np.uint8), np.zeros((h * w + 2 * h, per), dtype=bool)
+    np.subtract(255, pixels.reshape(h * w, per), out=flat[h:-h])  # 255 - p, exact in uint8
+    dark, bits = (
+        np.lib.stride_tricks.as_strided(a[h:], (waves, h, *stack), (per, (w - 2) * per, *[1] * len(stack)))
         for a in (flat, out)
     )
     m = min(_FS_WAVES, waves + 3)
@@ -193,16 +197,17 @@ def _fs_bits(pixels: np.ndarray) -> np.ndarray:
     rows, next3 = list(buf), [buf[j + 1 : j + 4] for j in range(m - 3)]
     err, share = np.empty((min(h, w), *stack)), np.empty((4, min(h, w), *stack))  # no wave holds more pixels
     weights = _FS_WEIGHTS.reshape(4, 1, *[1] * len(stack))
-    ks = np.arange(waves)  # wave k holds rows y_lo <= y < y_hi
-    spans = zip(np.maximum(0, (ks - w + 2) // 2).tolist(), np.minimum(h, ks // 2 + 1).tolist())
-    for k, (wave_bits, (y_lo, y_hi)) in enumerate(zip(bits, spans)):
+    ks = np.arange(waves)  # wave k holds rows y_los[k] <= y < y_his[k], both nondecreasing in k
+    y_los, y_his = np.maximum(0, (ks - w + 2) // 2).tolist(), np.minimum(h, ks // 2 + 1).tolist()
+    for k, (wave_bits, y_lo, y_hi) in enumerate(zip(bits, y_los, y_his)):
         j = k % (m - 3)
         if j == 0:  # carry the 3 waves that still take shares, then fill the rest with darkness
             if k:
                 buf[:3] = buf[m - 3 :]
             lo, hi = 3 if k else 0, min(m, waves - k)
-            fill = buf[lo:hi, :h]
-            np.divide(np.subtract(255.0, light[k + lo : k + hi], out=fill), 255.0, out=fill)
+            band = slice(y_los[k], y_his[k + hi - 1])  # every row these waves hold on the image
+            fill = buf[lo:hi, band]
+            np.divide(dark[k + lo : k + hi, band], 255.0, out=fill)
         n = y_hi - y_lo
         d = rows[j][y_lo:y_hi]
         e = np.subtract(d, np.greater_equal(d, 0.5, out=wave_bits[y_lo:y_hi]), out=err[:n])
@@ -210,7 +215,7 @@ def _fs_bits(pixels: np.ndarray) -> np.ndarray:
         below, east = next3[j][:, y_lo + 1 : y_hi + 1], rows[j + 1][y_lo:y_hi]
         np.add(below, shares[:3], out=below)
         np.add(east, shares[3], out=east)
-    return np.moveaxis(out[h:-h].reshape(per, h, w), 0, -1).reshape(pixels.shape)
+    return out[h:-h].reshape(pixels.shape)
 
 
 def _screen_bits(name: str, pixels: np.ndarray, order: int) -> np.ndarray:
@@ -229,31 +234,58 @@ def _dotdif_bits(pixels: np.ndarray) -> np.ndarray:
     weight 2 orthogonal and 1 diagonal, normalized over that set; with no such neighbour it is dropped.
     One pass per class quantizes that class's pixels (a stride-8 lattice) at once.  A pixel's 8 neighbours
     lie in one 3x3 window of the tiled map and so carry distinct classes: each pixel takes at most one
-    addition per pass, in class order, as a pixel-at-a-time loop would.  The weight totals are the
-    shape's, built once, and a class pass serves _DD_CHUNK slices down the work buffer's leading axis, so
-    its lattice rows stay the inner loop."""
+    addition per pass, in class order, as a pixel-at-a-time loop would.
+
+    The float64 work buffer is polyphase, (8, 8, tiles down + 2, tiles across + 2, slices): pixel (y, x)
+    of class (r, s) sits at [r, s, y // 8 + 1, x // 8 + 1], so a class's lattice is one contiguous block
+    and its neighbour (dy, dx) is the same tiles of class ((r + dy) mod 8, (s + dx) mod 8), shifted
+    (r + dy) // 8 and (s + dx) // 8 tiles.  The ring of tiles round the image soaks up the error sent off
+    it, and no pass reads it.  A class pass serves _DD_CHUNK slices, innermost.  Each chunk takes its
+    darkness (255 - p) / 255 from a padded uint8 copy of 255 - p (exact), and writes its bits to a
+    contiguous polyphase buffer in the same bytes, which goes into the image-major output once.  The
+    weight totals are the shape's, built once."""
     h, w = pixels.shape[:2]
     stack = pixels.reshape(h, w, -1)
-    classes = np.tile(_CLASS_8.astype(np.int8), (-(-h // 8), -(-w // 8)))[:h, :w]
+    ty, tx = -(-h // 8), -(-w // 8)  # whole 8x8 tiles down and across
+    total = _dd_totals(h, w, ty, tx)
+    ny, nx = [len(range(r, h, 8)) for r in range(8)], [len(range(s, w, 8)) for s in range(8)]  # lattice extents
+    out = np.empty((stack.shape[2], 8 * ty, 8 * tx), dtype=bool)  # image-major: each image's bits are contiguous
+    c = min(stack.shape[2], _DD_CHUNK)
+    work = np.zeros((8, 8, ty + 2, tx + 2, c))
+    scratch = np.zeros(64 * ty * tx * c, dtype=np.uint8)  # a chunk's 255 - p, then its bits
+    for lo in range(0, stack.shape[2], _DD_CHUNK):
+        chunk = stack[..., lo : lo + _DD_CHUNK]
+        k = chunk.shape[2]
+        buf, pad = work[..., :k], scratch[: 64 * ty * tx * k].reshape(8 * ty, 8 * tx, k)
+        np.subtract(255, chunk, out=pad[:h, :w])  # the bytes off the image fill slots that no pass reads
+        np.divide(_polyphase(pad), 255.0, out=buf[:, :, 1:-1, 1:-1])
+        bits = pad.view(bool).reshape(8, 8, ty, tx, k)  # 255 - p is spent: its bytes take the bits
+        for r, s, later in _DD_ORDER:
+            d = buf[r, s, 1 : 1 + ny[r], 1 : 1 + nx[s]]
+            ink = np.greater_equal(d, 0.5, out=bits[r, s, : ny[r], : nx[s]])
+            scale = (d - ink) / total[r, s, : ny[r], : nx[s]]  # d - 0 is d itself, -0.0 included
+            share = (scale, scale + scale)  # by weight - 1; 2 * scale is exactly scale + scale
+            for ry, oy, rx, ox, wgt in later:
+                buf[ry, rx, 1 + oy : 1 + oy + ny[r], 1 + ox : 1 + ox + nx[s]] += share[wgt - 1]
+        _polyphase(np.moveaxis(out[lo : lo + k], 0, -1))[...] = bits
+    return np.moveaxis(out, 0, -1)[:h, :w].reshape(pixels.shape)
+
+
+def _dd_totals(h: int, w: int, ty: int, tx: int) -> np.ndarray:
+    """Each pixel's total weight of later neighbours on the image, at least 1, as a polyphase uint8 map
+    (8, 8, ty, tx, 1); pixel (y, x) sits at [y % 8, x % 8, y // 8, x // 8]."""
+    classes = np.tile(_CLASS_8.astype(np.int8), (ty, tx))[:h, :w]
     padded = np.pad(classes, 1, constant_values=-1)
     total = sum(np.uint8(wgt) * (padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w] > classes)
                 for dy, dx, wgt in _DD_NEIGHBORS)  # uint8, at most 12
     total = np.maximum(total, 1)  # 0 only where every later neighbor is off the image
-    out = np.empty((stack.shape[2], h, w), dtype=bool)
-    work = np.zeros((min(stack.shape[2], _DD_CHUNK), h + 2, w + 2))  # the border soaks up error; no pass reads it
-    for lo in range(0, stack.shape[2], _DD_CHUNK):
-        chunk, bits = np.moveaxis(stack[..., lo : lo + _DD_CHUNK], -1, 0), out[lo : lo + _DD_CHUNK]
-        buf = work[: len(chunk)]
-        inner = buf[:, 1:-1, 1:-1]
-        np.divide(np.subtract(255.0, chunk, out=inner), 255.0, out=inner)
-        for r, s, later in _DD_ORDER:
-            d = buf[:, 1 + r : h + 1 : 8, 1 + s : w + 1 : 8]
-            ink = np.greater_equal(d, 0.5, out=bits[:, r::8, s::8])
-            scale = (d - ink) / total[r::8, s::8]  # d - 0 is d itself, -0.0 included
-            share = (scale, scale + scale)  # by weight - 1; 2 * scale is exactly scale + scale
-            for dy, dx, wgt in later:
-                buf[:, 1 + r + dy : h + 1 + dy : 8, 1 + s + dx : w + 1 + dx : 8] += share[wgt - 1]
-    return np.moveaxis(out, 0, -1).reshape(pixels.shape)
+    return np.ascontiguousarray(_polyphase(np.pad(total, ((0, 8 * ty - h), (0, 8 * tx - w)))))[..., None]
+
+
+def _polyphase(a: np.ndarray) -> np.ndarray:
+    """The (8, 8, rows / 8, cols / 8, ...) view of an array whose first two axes are whole 8x8 tiles:
+    [r, s, i, j] is a[8i + r, 8j + s]."""
+    return a.reshape(a.shape[0] // 8, 8, a.shape[1] // 8, 8, *a.shape[2:]).transpose(1, 3, 0, 2, *range(4, a.ndim + 2))
 
 
 def _block_dots(light: np.ndarray, th: int, tw: int) -> np.ndarray:

@@ -319,7 +319,12 @@ def _binary_bins(bits: np.ndarray) -> np.ndarray:
 
 
 def _block_bins(bits: np.ndarray, block: int, bins: int) -> np.ndarray:
-    """Per-tile mean ink density binned uniformly over [0, 1], as a probability vector."""
+    """Per-tile mean ink density binned uniformly over [0, 1], as a probability vector.
+
+    A (tiles down, tile height, tiles across, tile width) reshape of the bits, a view when the tiles divide
+    the image and a zero-padded copy when the edge tiles are ragged, is summed over the tile rows and then
+    the tile columns, in the narrowest dtype that holds the tile area: uint8 or uint16, else int64.  The
+    density divides each count by its tile's true area, so ragged edge tiles keep their own."""
     height, width = bits.shape
     if block > width and block > height:
         raise ValueError(f"block {block} larger than both image dimensions {width}x{height}")
@@ -328,7 +333,7 @@ def _block_bins(bits: np.ndarray, block: int, bins: int) -> np.ndarray:
     if (ny * by, nx * bx) != bits.shape:  # ragged edge tiles: pad them whole with no ink
         bits, ragged = np.zeros((ny * by, nx * bx), dtype=np.uint8), bits
         bits[:height, :width] = ragged
-    dtype = np.int32 if by * bx < 1 << 31 else np.int64  # holds any tile's ink count
+    dtype = np.uint8 if by * bx < 1 << 8 else np.uint16 if by * bx < 1 << 16 else np.int64  # holds a tile's count
     ink = bits.reshape(ny, by, nx, bx).sum(axis=1, dtype=dtype).sum(axis=-1, dtype=dtype)
     rows, cols = np.full(ny, by), np.full(nx, bx)
     rows[-1], cols[-1] = height - (ny - 1) * by, width - (nx - 1) * bx  # the edge tiles' true size

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from inkchannel import GrayImage, HalftoneSpec, halftone, screen_catalog
-from inkchannel.halftone import _fs_bits, _halftone_bits
+from inkchannel.halftone import _DD_CHUNK, _dotdif_bits, _fs_bits, _halftone_bits
 
 import halftone_oracle
 from conftest import constant_gray
@@ -246,6 +247,13 @@ def test_blockd_edge_tiles_keep_true_size():
 # tile, whole tiles, and ragged tiles on both axes
 EDGE_SHAPES = [(1, 1), (1, 2), (2, 1), (1, 40), (40, 1), (1, 9), (9, 1), (3, 5), (7, 7), (8, 8), (16, 24), (9, 17)]
 
+# shapes where dot diffusion's polyphase layout has a class lattice that is empty (fewer than 8 rows or
+# columns) or one tile shorter than another class's (a side of 8n + 1 to 8n + 7)
+LATTICE_SHAPES = [(8, 9), (9, 8), (7, 15), (15, 16), (17, 23)]
+
+# stack depths from one image to past two of dot diffusion's chunks
+STACK_DEPTHS = range(1, 2 * _DD_CHUNK + 2)
+
 
 # pixel values to draw from, None for all of 0-255: 127 and 128 sit beside the
 # 0.5 quantizer tie and give blockd tiles of equal pixels; darkness in steps of
@@ -270,10 +278,11 @@ def test_vector_kernels_match_scalar_oracle(palette):
 
 
 def test_fs_stack_matches_scalar_oracle_slice_by_slice():
-    """_fs_bits over a stack of K = 1-5 same-shape images, each slice of its own palette, gives every
-    slice the scalar loop's bits: K = 1-5 on each edge shape, random K on 60 shapes of 1-40 px a side."""
+    """_fs_bits over a stack of K same-shape images, each slice of its own palette, gives every slice the
+    scalar loop's bits: K = 1 to 2 _DD_CHUNK + 1 on each edge and lattice shape, random K = 1-5 on 60
+    shapes of 1-40 px a side."""
     rng = np.random.Generator(np.random.PCG64(17))
-    stacks = [(shape, k) for shape in EDGE_SHAPES for k in range(1, 6)]
+    stacks = [(shape, k) for shape in EDGE_SHAPES + LATTICE_SHAPES for k in STACK_DEPTHS]
     stacks += [(tuple(rng.integers(1, 41, size=2)), int(rng.integers(1, 6))) for _ in range(60)]
     for (height, width), k in stacks:
         slices = []
@@ -301,12 +310,13 @@ STACK_ORACLES = {
 
 @pytest.mark.parametrize("algorithm", sorted(STACK_ORACLES))
 def test_every_kernel_stack_matches_its_oracle_slice_by_slice(algorithm):
-    """_halftone_bits over a stack of K = 1-5 same-shape images, each slice of its own palette, gives
-    every slice its own image's bits: K = 1-5 on each edge shape and random K on 60 shapes of 1-40 px a
-    side, each stack with its own drawn parameter.  Dot diffusion's stacks of 5 pass its slice chunks."""
+    """_halftone_bits over a stack of K same-shape images, each slice of its own palette, gives every
+    slice its own image's bits: K = 1 to 2 _DD_CHUNK + 1 on each edge and lattice shape and random
+    K = 1-5 on 60 shapes of 1-40 px a side, each stack with its own drawn parameter.  Dot diffusion's
+    stacks of 5 and more cross its slice chunks, and those of 9 end in a chunk of one."""
     draw_spec, oracle = STACK_ORACLES[algorithm]
     rng = np.random.Generator(np.random.PCG64(sorted(STACK_ORACLES).index(algorithm)))
-    stacks = [(shape, k) for shape in EDGE_SHAPES for k in range(1, 6)]
+    stacks = [(shape, k) for shape in EDGE_SHAPES + LATTICE_SHAPES for k in STACK_DEPTHS]
     stacks += [(tuple(int(n) for n in rng.integers(1, 41, size=2)), int(rng.integers(1, 6))) for _ in range(60)]
     for (height, width), k in stacks:
         slices = []
@@ -318,6 +328,25 @@ def test_every_kernel_stack_matches_its_oracle_slice_by_slice(algorithm):
         assert bits.shape == (height, width, k)
         for j, pixels in enumerate(slices):
             assert np.array_equal(bits[..., j], oracle(GrayImage(pixels), spec)), (height, width, k, j, spec)
+
+
+# kernel -> the tracemalloc peak it may reach on a (256, 256, 8) stack, output included, in MiB: dot
+# diffusion holds its float64 work buffer for 4 slices, a uint8 buffer for 4 slices' pixels and then
+# their bits, and the output; FS its 32-wave ring, a padded copy of the pixels and the padded bits
+STACK_PEAKS_MIB = {_dotdif_bits: 3.5, _fs_bits: 1.9}
+
+
+@pytest.mark.parametrize("kernel", list(STACK_PEAKS_MIB), ids=lambda kernel: kernel.__name__)
+def test_stack_kernel_memory_is_pinned(kernel):
+    """The kernel's tracemalloc peak over a 256x256 stack of 8 images stays inside its pin."""
+    stack = np.random.default_rng(5).integers(0, 256, (256, 256, 8), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        kernel(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= STACK_PEAKS_MIB[kernel] * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("rows, bits", [

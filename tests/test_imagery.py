@@ -524,3 +524,30 @@ def test_block_bins_match_padded_oracle_byte_for_byte():
         got, want = _block_bins(bits, block, bins), histogram_oracle.block_bins(bits, block, bins)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (shape, block, bins)
     assert whole >= 100
+
+
+# (shape, block) -> tile area by * bx at each boundary of _block_bins' count dtype: 255 and 65535 are the
+# largest areas uint8 and uint16 hold, 256 and 65536 the first they would wrap on; each area once with
+# tiles that divide the image and once with ragged edge tiles, two of them a block past one side
+ACCUMULATOR_TILES = [
+    ((15, 34), 17), ((15, 40), 17), ((1, 510), 255), ((1, 600), 255),  # 15 x 17 and 1 x 255 = 255
+    ((32, 32), 16), ((40, 40), 16), ((1, 512), 256), ((1, 600), 256),  # 16 x 16 and 1 x 256 = 256
+    ((255, 514), 257), ((255, 600), 257),  # 255 x 257 = 65535
+    ((256, 512), 256), ((300, 300), 256),  # 256 x 256 = 65536
+]
+
+
+@pytest.mark.parametrize("shape, block", ACCUMULATOR_TILES, ids=[f"{h}x{w}-block{b}" for (h, w), b in ACCUMULATOR_TILES])
+@pytest.mark.parametrize("bins", (2, 16, 65536))
+def test_block_bins_hold_counts_at_the_accumulator_boundaries(shape, block, bins):
+    """_block_bins gives the oracle's bytes when every tile is all ink, or all ink but its first pixel,
+    at tile areas either side of 256 and 65536: a count that wrapped in too narrow a dtype would land in
+    a low bin.  Both uint8 and bool bits go through it."""
+    full = np.ones(shape, dtype=np.uint8)
+    by, bx = min(block, shape[0]), min(block, shape[1])
+    one_short = full.copy()
+    one_short[::by, ::bx] = 0
+    for bits in (full, one_short, one_short.astype(bool)):
+        got, want = _block_bins(bits, block, bins), histogram_oracle.block_bins(bits, block, bins)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert _block_bins(full, block, bins)[-1] == 1.0

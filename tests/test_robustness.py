@@ -337,6 +337,30 @@ def test_sweep_memory_does_not_grow_with_the_corpus(tmp_path, monkeypatch, algor
     assert peaks[1] < 1.2 * peaks[0], peaks
 
 
+def test_tiled_sweep_memory_is_pinned(tmp_path):
+    """A jobs-1 sweep of the benchmark's sweep-halftone-tiled shape (all seven halftoners over eight
+    256x256 images, block erase, block:8x16 histograms) peaks at no more than 4 MiB under tracemalloc:
+    dot diffusion's stack of eight, with its pixels, bounds it."""
+    corpus = []
+    for i in range(8):
+        corpus.append(str(tmp_path / f"scene{i:02d}.pgm"))
+        write_gray(GrayImage(np.random.default_rng(i).integers(0, 256, (256, 256), dtype=np.uint8)), corpus[-1])
+    spec = dataclasses.replace(
+        oracle_spec(tuple(corpus), "block-erase", 3, ("block", 8, 16), 1e-9, t_grid=(0.1, 0.3)),
+        algorithms=(HalftoneSpec("threshold"), HalftoneSpec("random", seed=7), HalftoneSpec("fs"), HalftoneSpec("bayer"),
+                    HalftoneSpec("cdot"), HalftoneSpec("dotdif"), HalftoneSpec("blockd", h=3)),
+        reps=1,
+    )
+    tracemalloc.start()
+    try:
+        records = run_sweep(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 7 * 8 * 2
+    assert peak <= 4 * 2**20, peak / 2**20
+
+
 def test_first_failure_in_canonical_order_is_reported(oracle_corpora, tmp_path):
     """Image 0 fails in its first cell (a histogram tile larger than 1x1) and image 1 cannot be read: each
     algorithm reads its whole run first, yet the error names image 0's cell, as the object path's does,
