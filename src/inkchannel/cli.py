@@ -226,10 +226,15 @@ def cmd_transmit(args) -> int:
     return EXIT_OK
 
 
+# metric name -> the optional flags it refuses; only kl builds histograms
+_METRIC_UNUSED = {"euclid": ("hist", "smoothing"), "kl": (), "entropy": ("b", "hist", "smoothing")}
+
+
 def cmd_metric(args) -> int:
+    for dest in _METRIC_UNUSED[args.name]:
+        if getattr(args, dest) is not None:
+            raise ValueError(f"--{dest} is not used with --name {args.name}")
     if args.name == "entropy":
-        if args.b is not None:
-            raise ValueError("--b is not used with --name entropy")
         img = _load_binary(args.a, "--a")
         print(format_scalar(metrics.binary_entropy(img)))
         return EXIT_OK
@@ -240,7 +245,8 @@ def cmd_metric(args) -> int:
         print(format_scalar(metrics.euclidean_distance(a, b)))
         return EXIT_OK
     # kl
-    spec = _parse_hist(args.hist, _parse_smoothing(args.smoothing))
+    lam = None if args.smoothing is None else _parse_smoothing(args.smoothing)
+    spec = _parse_hist("binary" if args.hist is None else args.hist, lam)
     a = _load_binary(args.a, "--a")
     b = _load_binary(args.b, "--b")
     print(format_scalar(metrics.image_relative_entropy(a, b, spec)))
@@ -302,7 +308,7 @@ def cmd_sweep(args) -> int:
 def _write_sweep_meta(spec: robustness.SweepSpec, path: str) -> None:
     meta = dataclasses.asdict(spec) | {
         "algorithms": [a.label() for a in spec.algorithms],
-        "blockd_h": sorted({a.h for a in spec.algorithms if a.algorithm == "blockd"}),
+        "blockd_h": sorted({a.h for a in spec.algorithms} - {None}),
         "block": None if spec.block is None else spec.block.size,
         "achieved_noise_density": [channel.noise_density(channel.NoisePower(t)) for t in spec.t_grid],
     }
@@ -369,11 +375,11 @@ def _transmit_args(p) -> None:
 
 
 def _metric_args(p) -> None:
-    p.add_argument("--name", required=True, choices=("euclid", "kl", "entropy"))
+    p.add_argument("--name", required=True, choices=tuple(_METRIC_UNUSED))
     p.add_argument("--a", required=True)
     p.add_argument("--b", default=None)
-    p.add_argument("--hist", default="binary", help="binary | block:<size>x<bins>")
-    p.add_argument("--smoothing", default="none", help="none | additive:<lambda>")
+    p.add_argument("--hist", default=None, help="kl only: binary (default) | block:<size>x<bins>")
+    p.add_argument("--smoothing", default=None, help="kl only: none (default) | additive:<lambda>")
 
 
 def _entropy_curve_args(p) -> None:

@@ -90,9 +90,9 @@ def screen_catalog() -> dict[str, np.ndarray]:
 
 @dataclass(frozen=True)
 class HalftoneSpec:
-    """Algorithm name plus its parameters, the one way to name a halftoner; irrelevant parameters
-    are ignored but still validated when present.  Every parameter rule lives here, so a kernel
-    trusts the value the spec hands it."""
+    """Algorithm name plus its parameters, the one way to name a halftoner; an algorithm takes at
+    most the one parameter its registry entry names, and refuses the others.  Every parameter rule
+    lives here, so a kernel trusts the value the spec hands it."""
 
     algorithm: str
     h: int | None = None            # blockd tile size
@@ -103,18 +103,22 @@ class HalftoneSpec:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r} (expected one of {ALGORITHMS})")
+        _, field, _, default = _REGISTRY[self.algorithm]
+        foreign = [k for k, v in vars(self).items() if v is not None and k not in ("algorithm", field)]
+        if foreign:
+            takes = f"{field} only" if field else "no parameter"
+            raise ValueError(f"{self.algorithm} does not take {foreign[0]} (it takes {takes})")
         if self.h is not None:
             _check_int(self.h, "block size h", 1)
         if self.level is not None and not 0.0 <= self.level <= 1.0:
             raise ValueError(f"threshold level must lie in [0, 1], got {self.level}")
         if self.seed is not None:
             _check_seed(self.seed)
-        screen = self.algorithm if self.algorithm in _SCREENS else "bayer"  # the rest check the Bayer orders
-        if self.matrix_order is not None and _check_int(self.matrix_order, "matrix order") not in _SCREENS[screen]:
-            *rest, last = _SCREENS[screen]
-            orders = f"{', '.join(map(str, rest))} and {last}"
-            raise ValueError(f"{screen} supports matrix orders {orders} only, got {self.matrix_order}")
-        _, field, _, default = _REGISTRY[self.algorithm]
+        orders = _SCREENS.get(self.algorithm, {})  # {} for the rest, which refused matrix_order above
+        if self.matrix_order is not None and _check_int(self.matrix_order, "matrix order") not in orders:
+            *rest, last = orders
+            listed = f"{', '.join(map(str, rest))} and {last}"
+            raise ValueError(f"{self.algorithm} supports matrix orders {listed} only, got {self.matrix_order}")
         if isinstance(default, _Required) and getattr(self, field) is None:
             raise ValueError(f"{self.algorithm} requires {default}")
 

@@ -159,7 +159,8 @@ HISTOGRAM_MODES = ("binary", "block")
 class HistogramSpec:
     """How image histograms are built for divergence measurements.
 
-    ``smoothing`` is None for no smoothing or a finite positive additive constant
+    ``block`` (the tile size) and ``bins`` belong to block mode, which requires both; binary mode
+    refuses them.  ``smoothing`` is None for no smoothing or a finite positive additive constant
     applied to every bin before renormalization.
     """
 
@@ -176,6 +177,9 @@ class HistogramSpec:
                 raise ValueError("block mode requires block size and bin count")
             _check_int(self.block, "block size", 1)
             _check_int(self.bins, "bin count", 2)
+        elif self.block is not None or self.bins is not None:
+            field = "block" if self.block is not None else "bins"
+            raise ValueError(f"binary mode does not take {field} (only block mode does)")
         if self.smoothing is not None and not 0 < self.smoothing < math.inf:
             raise ValueError(f"additive constant must be > 0 and finite, got {self.smoothing}")
 

@@ -90,8 +90,8 @@ class SweepSpec:
 
 
 def _family(alg: HalftoneSpec) -> tuple[str, int | None]:
-    """(algo, h) as records carry them; h is filled for blockd only."""
-    return alg.label(), alg.h if alg.algorithm == "blockd" else None
+    """(algo, h) as records carry them; only blockd takes h."""
+    return alg.label(), alg.h
 
 
 @dataclass(frozen=True)

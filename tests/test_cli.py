@@ -103,6 +103,24 @@ def test_halftone_takes_no_parameter_flags(capsys, tmp_path, gray128, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("fs:h=3", "fs does not take h (it takes no parameter)"),
+        ("fs:order=3", "fs does not take matrix_order (it takes no parameter)"),
+        ("fs:h=3:order=4:level=0.9", "fs does not take h (it takes no parameter)"),
+        ("threshold:seed=7", "threshold does not take seed (it takes level only)"),
+        ("blockd:h=3:order=4", "blockd does not take matrix_order (it takes h only)"),
+    ],
+)
+def test_halftone_refuses_a_parameter_the_algorithm_does_not_take(capsys, tmp_path, gray128, token, message):
+    out = tmp_path / "g.pbm"
+    code, stdout, stderr = run(capsys, "halftone", "--algo", token, "--input", str(gray128), "--output", str(out))
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: --algo: algorithm {token!r}: {message}\n"
+    assert not out.exists()
+
+
 def test_halftone_missing_input_is_io_error(capsys, tmp_path):
     code, _, stderr = run(
         capsys, "halftone", "--algo", "fs", "--input", str(tmp_path / "none.pgm"), "--output", str(tmp_path / "g.pbm")
@@ -348,6 +366,29 @@ def test_metric_entropy(capsys, tmp_path):
     assert stdout.strip() == "1"
 
 
+@pytest.mark.parametrize("name", ["euclid", "entropy"])
+@pytest.mark.parametrize("flag, value", [("--hist", "block:8x16"), ("--smoothing", "additive:1e-9")])
+def test_metric_refuses_histogram_flags_without_kl(capsys, tmp_path, name, flag, value):
+    path = tmp_path / "a.pbm"
+    write_binary(BinaryImage(np.eye(4, dtype=np.uint8)), path)
+    b = ["--b", str(path)] if name == "euclid" else []
+    code, stdout, stderr = run(capsys, "metric", "--name", name, "--a", str(path), *b, flag, value)
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: {flag} is not used with --name {name}\n"
+
+
+def test_metric_kl_omitted_flags_mean_binary_and_no_smoothing(capsys, tmp_path):
+    a, b = tmp_path / "a.pbm", tmp_path / "b.pbm"
+    write_binary(BinaryImage(natural_gray(24, 20).pixels < 100), a)
+    write_binary(BinaryImage(natural_gray(24, 20).pixels < 140), b)
+    outputs = [
+        run(capsys, "metric", "--name", "kl", "--a", str(a), "--b", str(b), *flags)
+        for flags in ([], ["--hist", "binary"], ["--smoothing", "none"], ["--hist", "binary", "--smoothing", "none"])
+    ]
+    assert outputs[0][0] == 0 and outputs[0][1] != "" and outputs[0][2] == ""
+    assert all(out == outputs[0] for out in outputs)
+
+
 # ---------------------------------------------------------------------------
 # entropy-curve
 # ---------------------------------------------------------------------------
@@ -582,6 +623,7 @@ def test_compare_two_blockd_sizes(capsys, tmp_path, corpus_dir):
         pytest.param("fs", "blockd", "--b: algorithm 'blockd': blockd requires a block size h", id="blockd-without-h"),
         pytest.param("nope", "blockd:h=3", "--a: algorithm 'nope': unknown algorithm 'nope'", id="unknown"),
         pytest.param("fs", "blockd:size=3", "--b: algorithm 'blockd:size=3': unknown parameter 'size'", id="bad-key"),
+        pytest.param("fs:h=3", "blockd:h=3", "--a: algorithm 'fs:h=3': fs does not take h", id="foreign-parameter"),
     ],
 )
 def test_compare_refuses_bad_algorithm_tokens(capsys, tmp_path, corpus_dir, a, b, fragment):
@@ -850,6 +892,10 @@ REQUIRED = ("algorithms", "kind", "t_grid", "reps", "seed", "corpus")
         pytest.param(
             {"algorithms": "fs, cdot:order=3"}, None, "",
             "algorithm 'cdot:order=3': cdot supports matrix orders 4 and 8 only, got 3", 1, id="cdot-order-3-after-first",
+        ),
+        pytest.param(
+            {"algorithms": "fs, dotdif:level=0.5"}, None, "",
+            "algorithm 'dotdif:level=0.5': dotdif does not take level (it takes no parameter)", 1, id="foreign-parameter",
         ),
     ],
 )

@@ -1,8 +1,8 @@
 """Every export resolves, so removing a function cannot leave a stale name behind.
 
 Each module's ``__all__`` names only what the module binds.  The package has
-no ``__all__``: each public name it binds is one that a module lists in its
-own ``__all__``, bound to the same object.
+no ``__all__``: the public names it binds are exactly those that the modules
+list in their own ``__all__``, each bound to the same object.
 """
 
 import importlib
@@ -33,6 +33,13 @@ def test_every_package_name_is_a_module_export():
     for name, value in public.items():
         owners = [m for m, module in MODULES.items() if name in getattr(module, "__all__", ()) and getattr(module, name) is value]
         assert owners, name
+
+
+@pytest.mark.parametrize("name", sorted(n for n, module in MODULES.items() if hasattr(module, "__all__")))
+def test_every_module_export_is_bound_on_the_package(name):
+    module = MODULES[name]
+    for export in module.__all__:
+        assert getattr(inkchannel, export, None) is getattr(module, export), f"{name}.{export}"
 
 
 def test_halftone_exports_one_name_per_concept():

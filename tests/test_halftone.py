@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from inkchannel import GrayImage, HalftoneSpec, halftone, screen_catalog
+from inkchannel import ALGORITHMS, GrayImage, HalftoneSpec, halftone, screen_catalog
 from inkchannel.halftone import _DD_CHUNK, _dotdif_bits, _fs_bits, _halftone_bits
 
 import halftone_oracle
@@ -67,15 +67,23 @@ def test_spec_requires_algorithm_parameters():
     assert HalftoneSpec("random", seed=np.uint64(7)).label() == "random-s7"
 
 
-def test_spec_validates_irrelevant_parameters_but_ignores_them():
-    with pytest.raises(ValueError):
+def test_spec_refuses_parameters_its_algorithm_does_not_take():
+    with pytest.raises(ValueError, match=r"^fs does not take level \(it takes no parameter\)$"):
         HalftoneSpec("fs", level=1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^fs does not take h \(it takes no parameter\)$"):
         HalftoneSpec("fs", h=0)
-    img = constant_gray(90, 16, 16)
-    a = halftone(img, HalftoneSpec("fs"))
-    b = halftone(img, HalftoneSpec("fs", level=0.3, h=9))
-    assert np.array_equal(a.bits, b.bits)
+    valid = {"h": 3, "level": 0.5, "seed": 7, "matrix_order": 4}  # each a good value where it is taken
+    accepted = set()
+    for algorithm in ALGORITHMS:
+        for field, value in valid.items():
+            try:
+                HalftoneSpec(algorithm, **{field: value})
+            except ValueError as exc:
+                assert str(exc).startswith(f"{algorithm} does not take {field} (it takes ")
+            else:
+                accepted.add((algorithm, field))
+    assert accepted == {("threshold", "level"), ("random", "seed"), ("bayer", "matrix_order"),
+                        ("cdot", "matrix_order"), ("blockd", "h")}
 
 
 def test_spec_labels():

@@ -3,7 +3,8 @@
 A function that takes the parameter raw must reject a bad value with the
 very message its spec gives, because it checks by building that spec; an
 algorithm token gives that message named by the token, as the CLI and the
-sweep config report it.
+sweep config report it.  A parameter that its kind does not take is a bad
+value too, whatever the value.
 """
 
 import math
@@ -17,6 +18,12 @@ from inkchannel.metrics import relative_entropy
 
 HALF = Histogram(np.array([0.5, 0.5]))
 BITS = BinaryImage(np.zeros((4, 4), dtype=np.uint8))
+
+# HalftoneSpec field -> (algorithm token key, a value good where the field is taken)
+FIELDS = {"h": ("h", 3), "level": ("level", 0.5), "seed": ("seed", 7), "matrix_order": ("order", 4)}
+TAKES = {"threshold": "level", "random": "seed", "fs": None, "bayer": "matrix_order", "cdot": "matrix_order",
+         "dotdif": None, "blockd": "h"}
+FOREIGN = [(algorithm, field) for algorithm, own in TAKES.items() for field in FIELDS if field != own]
 
 
 @pytest.mark.parametrize(
@@ -41,6 +48,17 @@ BITS = BinaryImage(np.zeros((4, 4), dtype=np.uint8))
             )
             for block, bins in ((0, 4), (2.5, 4), (2, 1), (2, 2.5))
         ),
+        *(
+            pytest.param(
+                lambda algorithm=algorithm, field=field: HalftoneSpec(algorithm, **{field: FIELDS[field][1]}),
+                (f"{algorithm}:{FIELDS[field][0]}={FIELDS[field][1]}",),
+                id=f"{algorithm}-takes-no-{field}",
+            )
+            for algorithm, field in FOREIGN
+        ),
+        pytest.param(lambda: HistogramSpec("binary", block=8), (), id="binary-takes-no-block"),
+        pytest.param(lambda: HistogramSpec("binary", bins=16), (), id="binary-takes-no-bins"),
+        pytest.param(lambda: HistogramSpec("binary", block=-3, bins=0), (), id="binary-takes-no-bad-block"),
     ],
 )
 def test_bad_value_gives_the_spec_message_everywhere(spec, raws):
