@@ -3,9 +3,11 @@
 
 Reads the records CSV that `inkchannel sweep` writes for a config whose algorithms are one
 non-blockd family (such as fs) and blockd over a grid of h, and writes the mean-q difference
-surface over (t, h): that family's mean q minus blockd's.  Positive entries mark where the block
-algorithm is more robust.  The sweep config sets the corpus, noise kind, t grid, reps, seed,
-histogram and smoothing.  A file that is not such a records CSV exits 2; an I/O error exits 3.
+surface over (t, h): that family's mean q minus blockd's, the diff `inkchannel compare` gives at
+each h, so inf against inf is 0.0.  Positive entries mark where the block algorithm is more robust.
+The sweep config sets the corpus, noise kind, t grid, reps, seed, histogram and smoothing.  A file
+that is not such a records CSV, or whose blockd rows at some h do not cover the family's (image, t)
+grid, exits 2; an I/O error exits 3.
 """
 
 import argparse

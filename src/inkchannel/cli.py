@@ -293,11 +293,9 @@ def cmd_sweep(args) -> int:
             f"{format_scalar(row.mean_q):>14} {format_scalar(row.stderr_q):>14} {row.n:>4}"
         )
 
-    families = list(dict.fromkeys((r.algo, r.h) for r in records))  # config order
+    families = robustness._families(records)  # config order
     if len(families) == 2:
-        by_family = {fam: [r for r in records if (r.algo, r.h) == fam] for fam in families}
-        verdicts = robustness.compare(by_family[families[0]], by_family[families[1]])
-        for v in verdicts:
+        for v in robustness.compare(*families.values()):
             print(
                 f"compare {v.algo_k} vs {v.algo_t} at t={format_scalar(v.t)}: {v.verdict} "
                 f"(diff={format_scalar(v.diff)})"
@@ -316,9 +314,9 @@ def _write_sweep_meta(spec: robustness.SweepSpec, path: str) -> None:
 
 
 def cmd_compare(args) -> int:
-    records = robustness.read_records_csv(args.records)
-    side_a = _select_family(records, args.a, "--a")
-    side_b = _select_family(records, args.b, "--b")
+    families = robustness._families(robustness.read_records_csv(args.records))
+    side_a = _select_family(families, args.a, "--a")
+    side_b = _select_family(families, args.b, "--b")
     for v in robustness.compare(side_a, side_b):
         print(
             f"t={format_scalar(v.t)}: {v.algo_k} mean_q={format_scalar(v.mean_k)}  "
@@ -327,14 +325,13 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _select_family(records, token: str, flag: str):
-    """The records of the (algo, h) family that ``token`` names."""
+def _select_family(families: dict, token: str, flag: str):
+    """The records of the (algo, h) family that ``token`` names, from robustness._families."""
     with _named(flag):
         family = robustness._family(_parse_algorithm_token(token))
-        selected = [r for r in records if (r.algo, r.h) == family]
-        if not selected:
+        if family not in families:
             raise ValueError(f"no records for algorithm {token!r}")
-    return selected
+    return families[family]
 
 
 def cmd_screens(args) -> int:

@@ -223,12 +223,14 @@ def _fs_bits(pixels: np.ndarray) -> np.ndarray:
 
 
 def _screen_bits(name: str, pixels: np.ndarray, order: int) -> np.ndarray:
-    """Ordered dither against the named screen of this order, tiled once per shape: bayer's screen is
-    dispersed-dot, cdot's clustered, its dots growing from the tile centres."""
+    """Ordered dither, ink where darkness exceeds the cell's (rank + 0.5) / order²: bayer's screen is dispersed-dot,
+    cdot's clustered.  Darkness falls strictly as lightness p rises, so that is p < the count of lightness
+    values darker than the threshold: one uint8 cutoff map, tiled once per shape, serves the whole stack."""
     thresholds = (_SCREENS[name][order] + 0.5) / (order * order)
+    cutoffs = np.searchsorted(-_darkness(np.arange(256)), -thresholds).astype(np.uint8)  # 1 to 255
     h, w = pixels.shape[:2]
-    tiled = np.tile(thresholds, (-(-h // order), -(-w // order)))[:h, :w]
-    return _per_slice(lambda image: _darkness(image) > tiled, pixels)
+    tiled = np.tile(cutoffs, (-(-h // order), -(-w // order)))[:h, :w]
+    return pixels < tiled.reshape(h, w, *[1] * (pixels.ndim - 2))
 
 
 def _dotdif_bits(pixels: np.ndarray) -> np.ndarray:

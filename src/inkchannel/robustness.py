@@ -279,7 +279,7 @@ def _mean_stderr(values) -> tuple[float, float]:
 
 def corpus_average(records) -> list[AggregateRow]:
     """Mean q with standard error per (algorithm, t), over images x reps; the one
-    grouping of records, whose rows compare and difference_surface read."""
+    grouping of records, whose rows compare reads."""
     groups: dict = {}
     for r in records:
         groups.setdefault((r.algo, r.noise_kind, r.t, r.h), []).append(r.q_bits)
@@ -292,42 +292,46 @@ def corpus_average(records) -> list[AggregateRow]:
     return rows
 
 
-def _side_rows(records_a: list, records_b: list) -> tuple[list, list]:
-    """Each side's corpus_average rows; each side non-empty and of one noise kind, the same on both sides."""
-    if not records_a or not records_b:
+def _families(records) -> dict:
+    """Records grouped by (algo, h), the family a record belongs to, in first-seen order."""
+    families: dict = {}
+    for r in records:
+        families.setdefault((r.algo, r.h), []).append(r)
+    return families
+
+
+def compare(records_k, records_t) -> list[ComparisonVerdict]:
+    """Per-t verdicts: the algorithm with smaller mean q (corpus_average's) is more robust there; |diff|
+    within DEFAULT_TIE_TOLERANCE is a TIE, and inf against inf a diff of 0.0.  Each side is one noise kind
+    and one (algo, h) family, over one (image, t) grid: a refusal names the first t, else (image, t), a side lacks."""
+    records_k, records_t = list(records_k), list(records_t)
+    sides = (("first", records_k), ("second", records_t))
+    if not records_k or not records_t:
         raise ValueError("both record lists must be non-empty")
-    rows_a, rows_b = corpus_average(records_a), corpus_average(records_b)
     kinds = []
-    for side, rows in (("first", rows_a), ("second", rows_b)):
-        side_kinds = {r.noise_kind for r in rows}
+    for side, records in sides:
+        side_kinds = {r.noise_kind for r in records}
         if len(side_kinds) != 1:
             raise ValueError(f"{side} records mix noise kinds {sorted(side_kinds)}")
         kinds.extend(side_kinds)
     if kinds[0] != kinds[1]:
         raise ValueError(f"the two sides were recorded under different noise kinds: {kinds[0]!r} vs {kinds[1]!r}")
-    return rows_a, rows_b
-
-
-def _single_family(rows, side: str) -> None:
-    """Every row of one side shares one (algo, h)."""
-    labels = {(r.algo, r.h) for r in rows}
-    if len(labels) != 1:
-        raise ValueError(f"{side} records must cover exactly one algorithm, got {sorted(labels, key=str)}")
-
-
-def compare(records_k, records_t) -> list[ComparisonVerdict]:
-    """Per-t verdicts: the algorithm with smaller mean q is more robust there.
-
-    Means are corpus_average's.  |difference| within DEFAULT_TIE_TOLERANCE is a TIE.
-    """
-    records_k, records_t = list(records_k), list(records_t)
-    rows_k, rows_t = _side_rows(records_k, records_t)
-    _single_family(rows_k, "first")
-    _single_family(rows_t, "second")
-    if {(r.image, r.t) for r in records_k} != {(r.image, r.t) for r in records_t}:
-        raise ValueError("record lists cover different (image, t) grids")
+    for side, records in sides:
+        families = sorted(_families(records), key=str)
+        if len(families) != 1:
+            raise ValueError(f"{side} records must cover exactly one algorithm, got {families}")
+    t_k, t_t = (sorted({r.t for r in records}) for _, records in sides)
+    if t_k != t_t:
+        t = min(set(t_k) ^ set(t_t))
+        side = "second" if t in t_k else "first"
+        raise ValueError(f"t grids differ: {t_k} vs {t_t} (t={t} missing from the {side} records)")
+    cells_k, cells_t = ({(r.image, r.t) for r in records} for _, records in sides)
+    if cells_k != cells_t:
+        image, t = min(cells_k ^ cells_t)
+        side = "second" if (image, t) in cells_k else "first"
+        raise ValueError(f"record lists cover different (image, t) grids: {(image, t)} missing from the {side} records")
     verdicts = []
-    for row_k, row_t in zip(rows_k, rows_t):  # one row per t on each side, both sorted by t
+    for row_k, row_t in zip(corpus_average(records_k), corpus_average(records_t)):  # one row per t, by t
         mean_k, mean_t = row_k.mean_q, row_t.mean_q
         diff = 0.0 if math.isinf(mean_k) and math.isinf(mean_t) else mean_k - mean_t  # inf against inf ties
         verdict = "TIE" if abs(diff) <= DEFAULT_TIE_TOLERANCE else "K_MORE_ROBUST" if diff < 0 else "T_MORE_ROBUST"
@@ -336,32 +340,24 @@ def compare(records_k, records_t) -> list[ComparisonVerdict]:
 
 
 def difference_surface(records_first, records_blockd):
-    """Mean-q difference surface over (t, h): first algorithm minus blockd.
-
-    Returns (t_values, h_values, surface) with surface[i, j] =
-    mean q_first(t_i) - mean q_blockd(t_i, h_j).  Positive entries mark where
-    the block algorithm is more robust.
-    """
-    rows_first, rows_blockd = _side_rows(list(records_first), list(records_blockd))
-    _single_family(rows_first, "first")
-    if {r.algo for r in rows_blockd} != {"blockd"}:
+    """(t_values, h_values, surface), the mean-q difference over (t, h) of the first algorithm minus blockd:
+    surface[i, j] is compare(records_first, the blockd records at h_j)[i].diff, so inf against inf is 0.0,
+    and compare's refusal names its h.  Positive entries mark where the block algorithm is more robust."""
+    records_first, records_blockd = list(records_first), list(records_blockd)
+    if {r.algo for r in records_blockd} != {"blockd"}:
         raise ValueError("second record list must be blockd with h swept")
-    means = {(r.t, r.h): r.mean_q for r in rows_blockd}
-    t_first = [r.t for r in rows_first]
-    t_blockd = sorted({t for t, _ in means})
-    if t_first != t_blockd:
-        raise ValueError(f"t grids differ: {t_first} vs {t_blockd}")
-    h_set = {h for _, h in means}
-    if None in h_set and len(h_set) > 1:
-        raise ValueError(f"second records mix an empty h with h = {sorted(h_set - {None})}")
-    h_values = sorted(h_set)
-    surface = np.empty((len(t_first), len(h_values)), dtype=np.float64)
-    for i, row in enumerate(rows_first):
-        for j, h in enumerate(h_values):
-            if (row.t, h) not in means:
-                raise ValueError(f"missing blockd cell t={row.t}, h={h}")
-            surface[i, j] = row.mean_q - means[row.t, h]
-    return t_first, h_values, surface
+    by_h = {h: records for (_, h), records in _families(records_blockd).items()}
+    if None in by_h and len(by_h) > 1:
+        raise ValueError(f"second records mix an empty h with h = {sorted(by_h.keys() - {None})}")
+    h_values = sorted(by_h)
+    columns = []
+    for h in h_values:
+        try:
+            columns.append(compare(records_first, by_h[h]))
+        except ValueError as exc:
+            raise ValueError(f"blockd h={h}: {exc}") from None
+    surface = np.column_stack([[v.diff for v in column] for column in columns])
+    return [v.t for v in columns[0]], h_values, surface
 
 
 # ---------------------------------------------------------------------------

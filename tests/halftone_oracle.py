@@ -1,21 +1,44 @@
-"""Scalar reference kernels for the vectorised Floyd-Steinberg, dot diffusion
-and block halftoning.
+"""Scalar reference kernels for the vectorised halftoners: Floyd-Steinberg, dot
+diffusion, block halftoning, the ordered-dither screens and the random coin.
 
-These are the pixel- and tile-at-a-time loops the numpy kernels in
-`inkchannel.halftone` replaced; the differential tests hold the two to the
-same output bits.  Each returns the uint8 bit array.
+These are pixel- and tile-at-a-time loops, written from each algorithm's rule
+rather than from the numpy kernels in `inkchannel.halftone`; the differential
+tests hold the two to the same output bits.  Each returns the uint8 bit array.
 """
 
 import numpy as np
 
-from inkchannel.halftone import _DD_NEIGHBORS, _darkness, screen_catalog
+from inkchannel.halftone import _DD_NEIGHBORS, screen_catalog
+
+
+def darkness(pixels):
+    """(255 - lightness) / 255, so black is 1 and white 0."""
+    return (255.0 - np.asarray(pixels, dtype=np.float64)) / 255.0
+
+
+def ordered_dither(img, screen: str) -> np.ndarray:
+    """Ink where a pixel's darkness exceeds its screen cell's threshold (rank + 0.5) / n², the
+    n x n matrix ``screen`` of screen_catalog() tiled from the top-left corner."""
+    ranks = screen_catalog()[screen].tolist()
+    n = len(ranks)
+    dark = darkness(img.pixels).tolist()
+    return np.array([[int(d > (ranks[y % n][x % n] + 0.5) / (n * n)) for x, d in enumerate(row)]
+                     for y, row in enumerate(dark)], dtype=np.uint8)
+
+
+def random_coin(img, seed: int) -> np.ndarray:
+    """Ink where the pixel's uniform [0, 1) draw falls below its darkness; the draws are PCG64(seed)'s
+    random() over the image shape, in raster order."""
+    u = np.random.Generator(np.random.PCG64(seed)).random(img.pixels.shape).tolist()
+    dark = darkness(img.pixels).tolist()
+    return np.array([[int(uu < d) for uu, d in zip(u_row, d_row)] for u_row, d_row in zip(u, dark)], dtype=np.uint8)
 
 
 def floyd_steinberg(img) -> np.ndarray:
     """Raster scan; each pixel sends 7/16 E, 3/16 SW, 5/16 S and 1/16 SE of its
     quantization error, and error sent past the border is dropped."""
     h, w = img.height, img.width
-    buf = _darkness(img.pixels).tolist()
+    buf = darkness(img.pixels).tolist()
     out = []
     for y in range(h):
         row = buf[y]
@@ -46,7 +69,7 @@ def dot_diffusion(img) -> np.ndarray:
     """Pixels in ascending class order; each pushes its quantization error to
     the not-yet-processed 8-neighbors, weights normalized over that set."""
     h, w = img.height, img.width
-    buf = _darkness(img.pixels).tolist()
+    buf = darkness(img.pixels).tolist()
     out = [[0] * w for _ in range(h)]
     cls = screen_catalog()["dotdif-classes"].tolist()
 
@@ -83,7 +106,7 @@ def dot_diffusion(img) -> np.ndarray:
 def block_d(img, h: int) -> np.ndarray:
     """Per h x h tile (edge tiles at their true size), round(sum of darkness)
     dots at the darkest positions, ties broken in row-major order."""
-    dark = _darkness(img.pixels)
+    dark = darkness(img.pixels)
     out = np.zeros(dark.shape, dtype=np.uint8)
     for y0 in range(0, img.height, h):
         for x0 in range(0, img.width, h):

@@ -303,13 +303,18 @@ def test_fs_stack_matches_scalar_oracle_slice_by_slice():
             assert np.array_equal(bits[..., j], halftone_oracle.floyd_steinberg(GrayImage(pixels))), (height, width, k, j)
 
 
+def screen_oracle(img, spec):
+    return halftone_oracle.ordered_dither(img, f"{spec.algorithm}-{spec.matrix_order}")
+
+
 # algorithm -> (its spec for one stack, drawn from rng and the image shape; the bits of one image, from
-# the scalar loop for dotdif and blockd and from halftone() on that image alone for the rest); fs is above
+# the pixel loop in halftone_oracle, or from halftone() on that image alone for threshold); fs is above
 STACK_ORACLES = {
     "threshold": (lambda rng, shape: HalftoneSpec("threshold", level=float(rng.random())), one_image),
-    "random": (lambda rng, shape: HalftoneSpec("random", seed=int(rng.integers(1 << 63))), one_image),
-    "bayer": (lambda rng, shape: HalftoneSpec("bayer", matrix_order=int(rng.choice([2, 4, 8]))), one_image),
-    "cdot": (lambda rng, shape: HalftoneSpec("cdot", matrix_order=int(rng.choice([4, 8]))), one_image),
+    "random": (lambda rng, shape: HalftoneSpec("random", seed=int(rng.integers(1 << 63))),
+               lambda img, spec: halftone_oracle.random_coin(img, spec.seed)),
+    "bayer": (lambda rng, shape: HalftoneSpec("bayer", matrix_order=int(rng.choice([2, 4, 8]))), screen_oracle),
+    "cdot": (lambda rng, shape: HalftoneSpec("cdot", matrix_order=int(rng.choice([4, 8]))), screen_oracle),
     "dotdif": (lambda rng, shape: HalftoneSpec("dotdif"), lambda img, spec: halftone_oracle.dot_diffusion(img)),
     "blockd": (lambda rng, shape: HalftoneSpec("blockd", h=int(rng.integers(1, max(shape) + 5))),
                lambda img, spec: halftone_oracle.block_d(img, spec.h)),
@@ -336,6 +341,18 @@ def test_every_kernel_stack_matches_its_oracle_slice_by_slice(algorithm):
         assert bits.shape == (height, width, k)
         for j, pixels in enumerate(slices):
             assert np.array_equal(bits[..., j], oracle(GrayImage(pixels), spec)), (height, width, k, j, spec)
+
+
+@pytest.mark.parametrize("screen", [name for name in screen_catalog() if name != "dotdif-classes"])
+def test_every_lightness_at_every_screen_cell_matches_the_oracle(screen):
+    """Each screen over an image whose n x n tiles hold lightness 0, 1, ..., 255 in turn, so every
+    lightness meets every cell, gives the pixel loop's bits."""
+    algorithm, order = screen.split("-")
+    n = int(order)
+    pixels = np.repeat(np.arange(256, dtype=np.uint8), n * n).reshape(256 * n, n)
+    img = GrayImage(pixels)
+    assert np.array_equal(one_image(img, HalftoneSpec(algorithm, matrix_order=n)),
+                          halftone_oracle.ordered_dither(img, screen))
 
 
 # kernel -> the tracemalloc peak it may reach on a (256, 256, 8) stack, output included, in MiB: dot

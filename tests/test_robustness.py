@@ -577,6 +577,51 @@ def test_surface_rejects_incomplete_grid():
         difference_surface(first, second)
 
 
+def test_surface_cell_of_inf_against_inf_is_compares_tie():
+    first = [rec(algo="fs", t=t, q=q) for t, q in ((0.5, 0.2), (1.0, math.inf))]
+    second = _blockd_records({(0.5, 3): 0.1, (1.0, 3): math.inf, (0.5, 5): 0.3, (1.0, 5): 0.4})
+    t_vals, h_vals, surface = difference_surface(first, second)
+    assert (t_vals, h_vals) == ([0.5, 1.0], [3, 5])
+    assert surface[1, 0] == 0.0 == compare(first, [r for r in second if r.h == 3])[1].diff
+    assert surface[1, 1] == math.inf
+    assert not np.isnan(surface).any()
+
+
+def test_surface_refuses_a_blockd_side_over_other_images():
+    first = [rec(algo="fs", image=image) for image in ("a.pgm", "b.pgm")]
+    second = [rec(algo="blockd", h=3, image=image) for image in ("a.pgm", "b.pgm")]
+    second.append(rec(algo="blockd", h=5, image="c.pgm"))
+    message = "blockd h=5: record lists cover different (image, t) grids: ('a.pgm', 0.1) missing from the second records"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        difference_surface(first, second)
+
+
+def test_compare_names_the_t_a_side_lacks():
+    first = [rec(algo="fs", t=t) for t in (0.1, 0.2)]
+    second = [rec(algo="dotdif", t=0.1)]
+    with pytest.raises(ValueError, match=re.escape("[0.1, 0.2] vs [0.1] (t=0.2 missing from the second records)")):
+        compare(first, second)
+    with pytest.raises(ValueError, match=re.escape("[0.1] vs [0.1, 0.2] (t=0.2 missing from the first records)")):
+        compare(second, first)
+
+
+def test_surface_cells_are_compares_diffs_on_a_sweep(corpus_dir):
+    """An unsmoothed erase sweep, whose q is inf on both sides at t = 1: every cell is compare's diff at
+    its h, bit for bit."""
+    algorithms = (HalftoneSpec("fs"), HalftoneSpec("blockd", h=3), HalftoneSpec("blockd", h=5))
+    spec = small_spec(corpus_dir, algorithms=algorithms, channel_kind="erase", t_grid=(0.0, 0.5, 1.0), reps=1,
+                      histogram=HistogramSpec())
+    records = run_sweep(spec)
+    first = [r for r in records if r.algo == "fs"]
+    t_vals, h_vals, surface = difference_surface(first, [r for r in records if r.algo == "blockd"])
+    assert h_vals == [3, 5] and any(r.q_bits == math.inf for r in first)
+    for j, h in enumerate(h_vals):
+        verdicts = compare(first, [r for r in records if r.h == h])
+        assert [v.t for v in verdicts] == t_vals
+        assert surface[:, j].tobytes() == np.array([v.diff for v in verdicts]).tobytes()
+    assert not np.isnan(surface).any()
+
+
 # ---------------------------------------------------------------------------
 # aggregation and CSV
 # ---------------------------------------------------------------------------
