@@ -4,7 +4,8 @@
 Reads the records CSV that `inkchannel sweep` writes for a config whose algorithms are one
 non-blockd family (such as fs) and blockd over a grid of h, and writes the mean-q difference
 surface over (t, h): that family's mean q minus blockd's, the diff `inkchannel compare` gives at
-each h, so inf against inf is 0.0.  Positive entries mark where the block algorithm is more robust.
+each h, so inf against inf is 0.0.  Positive entries mark where the block algorithm is more robust; the
+count it prints is of compare's verdicts, so a difference within its tie tolerance is no such cell.
 The sweep config sets the corpus, noise kind, t grid, reps, seed, histogram and smoothing.  A file
 that is not such a records CSV, or whose blockd rows at some h do not cover the family's (image, t)
 grid, exits 2; an I/O error exits 3.
@@ -14,7 +15,7 @@ import argparse
 import sys
 
 from inkchannel.cli import run_command
-from inkchannel.robustness import difference_surface, read_records_csv
+from inkchannel.robustness import DEFAULT_TIE_TOLERANCE, difference_surface, read_records_csv
 
 
 def main():
@@ -34,7 +35,7 @@ def write_surface(args):
             fh.write(f"{t!r}," + ",".join(repr(float(v)) for v in row) + "\n")
     n_images = len({r.image for r in records})
     print(f"wrote {args.out} ({len(t_vals)}x{len(h_vals)} surface over {n_images} images)")
-    print(f"blockd more robust in {int((surface > 0).sum())}/{surface.size} cells")
+    print(f"blockd more robust in {int((surface > DEFAULT_TIE_TOLERANCE).sum())}/{surface.size} cells")  # compare's verdicts
     return 0
 
 

@@ -88,6 +88,11 @@ def screen_catalog() -> dict[str, np.ndarray]:
     return screens | {"dotdif-classes": _CLASS_8.copy()}
 
 
+def _check_h(h) -> int:
+    """blockd's tile-size rule, for a spec and for a record that carries h."""
+    return _check_int(h, "block size h", 1)
+
+
 @dataclass(frozen=True)
 class HalftoneSpec:
     """Algorithm name plus its parameters, the one way to name a halftoner; an algorithm takes at
@@ -109,7 +114,7 @@ class HalftoneSpec:
             takes = f"{field} only" if field else "no parameter"
             raise ValueError(f"{self.algorithm} does not take {foreign[0]} (it takes {takes})")
         if self.h is not None:
-            _check_int(self.h, "block size h", 1)
+            _check_h(self.h)
         if self.level is not None and not 0.0 <= self.level <= 1.0:
             raise ValueError(f"threshold level must lie in [0, 1], got {self.level}")
         if self.seed is not None:

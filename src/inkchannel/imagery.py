@@ -316,10 +316,13 @@ def write_binary(img: BinaryImage, path, *, ascii_format: bool = False) -> None:
 # histograms
 # ---------------------------------------------------------------------------
 
-def _binary_bins(bits: np.ndarray) -> np.ndarray:
-    """[p(bit=0), p(bit=1)]; complement construction sums to 1 exactly."""
-    p1 = np.count_nonzero(bits) / bits.size
-    return np.array([1.0 - p1, p1])
+def _ink_bins(ink, n: int) -> np.ndarray:
+    """[p(bit=0), p(bit=1)] of ink count(s) ``ink`` over n bits, one row per count; complement construction
+    sums to 1 exactly."""
+    p1 = np.asarray(ink) / n
+    bins = np.empty(p1.shape + (2,))
+    bins[..., 0], bins[..., 1] = 1.0 - p1, p1
+    return bins
 
 
 def _block_bins(bits: np.ndarray, block: int, bins: int) -> np.ndarray:
@@ -349,12 +352,14 @@ def _block_bins(bits: np.ndarray, block: int, bins: int) -> np.ndarray:
 
 def _histogram_bins(bits: np.ndarray, spec: HistogramSpec) -> np.ndarray:
     """The probability vector of a bit array's histogram, built per ``spec``."""
-    return _binary_bins(bits) if spec.mode == "binary" else _block_bins(bits, spec.block, spec.bins)
+    if spec.mode == "binary":
+        return _ink_bins(np.count_nonzero(bits), bits.size)
+    return _block_bins(bits, spec.block, spec.bins)
 
 
 def binary_histogram(img: BinaryImage) -> Histogram:
     """Two-bin histogram [p(bit=0), p(bit=1)]."""
-    return Histogram(_binary_bins(img.bits))
+    return Histogram(_ink_bins(np.count_nonzero(img.bits), img.bits.size))
 
 
 def block_lightness_histogram(img: BinaryImage, block: int, bins: int) -> Histogram:

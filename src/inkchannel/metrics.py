@@ -56,7 +56,7 @@ def relative_entropy(p: Histogram, q: Histogram, smoothing: float | None = None)
     if p.bin_count != q.bin_count:
         raise ValueError(f"bin-count mismatch: {p.bin_count} vs {q.bin_count}")
     HistogramSpec(smoothing=smoothing)
-    return _kl_from(_kl_reference(p.bins, smoothing), q.bins)
+    return _kl_from(_kl_reference(p.bins, smoothing), q.bins[np.newaxis])[0]
 
 
 def _kl_reference(p: np.ndarray, smoothing: float | None) -> tuple:
@@ -68,18 +68,17 @@ def _kl_reference(p: np.ndarray, smoothing: float | None) -> tuple:
     return p, np.log2(p), support, smoothing
 
 
-def _kl_from(ref: tuple, q: np.ndarray) -> float:
-    """relative_entropy of the reference's p against q, on plain probability vectors of one length."""
+def _kl_from(ref: tuple, q: np.ndarray) -> list[float]:
+    """relative_entropy of the reference's p against each row of q, a (rows, bins) block of probability
+    vectors; each row's float is the one that row gives alone."""
     p, log2_p, support, smoothing = ref
     if smoothing is not None:
-        q = (q + smoothing) / (1.0 + smoothing * q.size)
-    q = q[support]
-    if (q == 0).any():
-        return math.inf
-    terms = p * (log2_p - np.log2(q))
-    total = float(terms.sum())
+        q = (q + smoothing) / (1.0 + smoothing * q.shape[-1])
+    q = np.compress(support, q, axis=-1)  # C order, so each row sums as it does alone (q[:, support] is F order)
+    with np.errstate(divide="ignore"):  # a term against an empty bin is +inf, and so is its row's sum
+        total = (p * (log2_p - np.log2(q))).sum(axis=-1)
     # Gibbs guarantees >= 0; clip float-rounding dust just below zero
-    return 0.0 if -1e-15 < total < 0.0 else total
+    return [0.0 if -1e-15 < x < 0.0 else x for x in total.tolist()]
 
 
 def image_relative_entropy(a: BinaryImage, b: BinaryImage, spec: HistogramSpec) -> float:

@@ -21,9 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from .channel import (_KIND_GATES, BlockSpec, NoisePower, _block_mask, _channel_bits, _check_kind, _known_kind,
-                      _noise_bits, derive_seed, noise_density)
-from .halftone import HalftoneSpec, _halftone_bits
-from .imagery import HistogramSpec, _check_int, _check_seed, _histogram_bins, _read_text, read_gray
+                      _noise_bits, _pcg64_states, derive_seed)
+from .halftone import HalftoneSpec, _check_h, _halftone_bits
+from .imagery import HistogramSpec, _check_int, _check_seed, _histogram_bins, _ink_bins, _read_text, read_gray
 from .metrics import _kl_from, _kl_reference
 
 __all__ = [
@@ -114,7 +114,7 @@ class RobustnessRecord:
         if self.h is not None:  # a blockd record may leave h empty
             if self.algo != "blockd":
                 raise ValueError(f"h is recorded for blockd only, got h={self.h!r} for {self.algo!r}")
-            HalftoneSpec("blockd", h=self.h)
+            _check_h(self.h)
         _check_int(self.rep, "rep", 0)
         _check_seed(self.seed)
         if not 0.0 <= self.q_bits <= math.inf:
@@ -187,48 +187,64 @@ def _halftones(alg: HalftoneSpec, paths):
 
 
 def _run_task(spec: SweepSpec, task: tuple) -> list[RobustnessRecord]:
-    """All (image, t, rep) cells for one algorithm over the corpus images start:stop; each image's
-    halftone, gate mask and KL reference are built once.
+    """All (image, t, rep) cells for one algorithm over the corpus images start:stop, in canonical order.
 
-    The spec was checked when built, so cells run on plain uint8 arrays.  f_in and f_out are
-    count / n, as ink_fraction computes them; e's count / n equals the mean euclidean_distance takes,
-    since a 0/1 sum is an exact integer, and the count is the field's ones for a flip and the ink added
-    for a set1 gate.  Where the noise field is the same for every seed, every rep's q, e and f_out are
-    rep 0's; each rep keeps its seed."""
+    The task halftones each run of consecutive same-shape images as one stack, reading a run ahead of its
+    cells, and raises a read or halftone failure at that image's turn, after the cells of the images before
+    it, so the first failure in canonical order is the one reported.  A cell's seed index is its place in
+    the canonical (algorithm, image, t, rep) order, whatever the task shape; the task derives its cells'
+    seeds and their PCG64 states at once (``channel._pcg64_states``).  For each image it builds what
+    depends on the halftone alone once: block erase's gate mask, the KL reference and a noise-field
+    buffer.  The spec was checked when built, so cells run on plain uint8 arrays.
+
+    The unit of work is one (image, t) run of reps.  Each rep draws its field into the buffer, applies
+    the gate and counts the sent image's ink, which gives f_out (count / n, as ink_fraction computes it)
+    and, under the binary histogram, the bins.  e's count / n equals the mean euclidean_distance takes,
+    since a 0/1 sum is an exact integer: the field's ones for a flip, and the ink added for a set1 gate,
+    which only adds ink.  The run's bins are then scored as one block, row by row (``metrics._kl_from``).
+    Where the field is the same for every seed, ``_noise_bits`` takes no draw and yields it once, and the
+    run scores that one cell, whose q, e and f_out every rep shares; each rep keeps its own seed."""
     algo_idx, start, stop = task
     alg = spec.algorithms[algo_idx]
     label, h = _family(alg)
-    kind, hist, n_img, n_t, reps = spec.channel_kind, spec.histogram, len(spec.corpus), len(spec.t_grid), spec.reps
+    kind, hist, n_t, reps = spec.channel_kind, spec.histogram, len(spec.t_grid), spec.reps
     flips = _KIND_GATES[kind] == "not"  # a flip changes exactly the field's ones; set1 only adds ink
+    binary = hist.mode == "binary"  # binary bins come from the ink count each cell takes anyway
     paths = spec.corpus[start:stop]
+    first = (algo_idx * len(spec.corpus) + start) * n_t * reps
+    seeds = [derive_seed(spec.master_seed, first + i) for i in range(len(paths) * n_t * reps)]
+    states, bitgen = _pcg64_states(seeds), np.random.PCG64(0)  # one generator, set to each drawn cell's state
     bits = _halftones(alg, paths)
     records = []
-    for img_idx, path in enumerate(paths, start):
+    for j, path in enumerate(paths):
         cell = f"algorithm {label!r}, image {path!r}"
         try:
             g = next(bits)
         except Exception as exc:
             raise SweepError(f"sweep aborted at {cell}: {exc}") from exc
-        n, ink_in, ref = g.size, int(np.count_nonzero(g)), None
-        f_in, mask, image_id = ink_in / n, spec.block and _block_mask(g, spec.block.size), Path(path).name
+        n, ink_in, image_id, ref = g.size, int(np.count_nonzero(g)), Path(path).name, None
+        f_in, mask, field = ink_in / n, spec.block and _block_mask(g, spec.block.size), np.empty_like(g)
         for ti, t in enumerate(spec.t_grid):
-            # the achieved density is 0 or 1 (no byte or every byte is below the threshold): one field for every seed
-            fixed = noise_density(NoisePower(t)) in (0.0, 1.0)
-            for rep in range(reps):
-                index = ((algo_idx * n_img + img_idx) * n_t + ti) * reps + rep
-                seed = derive_seed(spec.master_seed, index)
-                try:
-                    if rep == 0 or not fixed:
-                        v = _noise_bits(g.shape, t, seed)
-                        gp = _channel_bits(g, v, kind, mask)
-                        if ref is None:  # a misfit histogram fails in the first cell
-                            ref = _kl_reference(_histogram_bins(g, hist), hist.smoothing)
-                        q, ink = _kl_from(ref, _histogram_bins(gp, hist)), int(np.count_nonzero(gp))
-                        e = math.sqrt((np.count_nonzero(v) if flips else ink - ink_in) / n)
-                        f_out = ink / n
-                    records.append(RobustnessRecord(label, image_id, kind, t, h, rep, seed, q, e, f_in, f_out))
-                except Exception as exc:
-                    raise SweepError(f"sweep aborted at {cell}, t={t!r}, rep={rep}, seed={seed}: {exc}") from exc
+            at = (j * n_t + ti) * reps  # the run's first cell in seeds
+            inks, counts, rows, rep = [], [], [], 0
+            try:
+                if ref is None:  # a misfit histogram fails in the image's first cell
+                    ref = _kl_reference(_histogram_bins(g, hist), hist.smoothing)
+                for rep, v in enumerate(_noise_bits(g.shape, t, states[at:at + reps], field, bitgen)):
+                    gp = _channel_bits(g, v, kind, mask)
+                    inks.append(int(np.count_nonzero(gp)))
+                    counts.append(np.count_nonzero(v) if flips else inks[-1] - ink_in)
+                    if not binary:
+                        rows.append(_histogram_bins(gp, hist))
+                rep = 0  # the block is scored from rep 0 on
+                qs = _kl_from(ref, _ink_bins(np.array(inks), n) if binary else np.array(rows))
+                for rep in range(reps):
+                    k = rep if len(qs) == reps else 0  # a constant field's one cell stands for every rep
+                    e, f_out = math.sqrt(counts[k] / n), inks[k] / n
+                    seed = seeds[at + rep]
+                    records.append(RobustnessRecord(label, image_id, kind, t, h, rep, seed, qs[k], e, f_in, f_out))
+            except Exception as exc:
+                raise SweepError(f"sweep aborted at {cell}, t={t!r}, rep={rep}, seed={seeds[at + rep]}: {exc}") from exc
     return records
 
 

@@ -20,7 +20,7 @@ from inkchannel import (
     transmit_block_erase,
     transmit_erase,
 )
-from inkchannel.channel import _noise_bits
+from inkchannel.channel import _noise_bits, _pcg64_states
 
 
 def binimg(rows):
@@ -116,10 +116,39 @@ def test_noise_bits_match_generator_integers():
         seed = int(rng.integers(0, 2**64, dtype=np.uint64))
         # 0.999 and 255/256 + 1e-12 have ceil(t*256) = 256 (all ink); 1e-300 and 5e-324 have 1
         for t in (0.0, 1 / 256, 0.5, 255 / 256, 1.0, float(rng.random()), 0.999, 255 / 256 + 1e-12, 1e-300, 5e-324):
-            got = _noise_bits(shape, t, seed)
+            got = next(_noise_bits(shape, t, _pcg64_states([seed])))
             assert got.dtype == np.uint8 and got.shape == shape
             assert np.array_equal(got, generator_noise_bits(shape, t, seed)), (shape, t, seed)
     assert ragged >= 150
+
+
+def test_run_seeding_and_draw_match_numpy_pcg64():
+    """The run-at-once seeding and the draw against numpy's own PCG64(seed), for the edge seeds and 10,000
+    derive_seed outputs: each seed's start state, and its field's bytes at 256x256 and at 17x17 (289
+    pixels, not a multiple of 8) against random_raw's bytes under every threshold from 1 to 255."""
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1] + [derive_seed(2011, i) for i in range(10_000)]
+    states = _pcg64_states(seeds)
+    assert states == [(st["state"], st["inc"]) for st in (np.random.PCG64(seed).state["state"] for seed in seeds)]
+    bitgen = np.random.PCG64(0)
+    for shape in ((256, 256), (17, 17)):
+        n, field = shape[0] * shape[1], np.empty(shape, np.uint8)
+        for i, (seed, state) in enumerate(zip(seeds, states)):
+            c = i % 255 + 1
+            raw = np.random.PCG64(seed).random_raw(-(-n // 8)).astype("<u8").view(np.uint8)[:n].reshape(shape)
+            got = next(_noise_bits(shape, c / 256, [state], field, bitgen))
+            assert got is field and np.array_equal(got, raw < c), (shape, seed, c)
+
+
+def test_constant_fields_take_no_draw():
+    """A run at t = 0 or t > 255/256 yields its constant field once for every state, without reseeding the
+    generator; a run at any other t yields one field per state."""
+    bitgen = np.random.PCG64(7)
+    before = bitgen.state
+    for t, value in ((0.0, 0), (0.999, 1), (1.0, 1)):
+        fields = list(_noise_bits((5, 3), t, _pcg64_states([1, 2, 3]), bitgen=bitgen))
+        assert len(fields) == 1 and np.array_equal(fields[0], np.full((5, 3), value, np.uint8))
+    assert bitgen.state == before
+    assert len(list(_noise_bits((5, 3), 255 / 256, _pcg64_states([1, 2, 3]), bitgen=bitgen))) == 3
 
 
 def test_noise_power_range():

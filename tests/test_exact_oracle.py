@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from inkchannel import BlockSpec, HalftoneSpec, HistogramSpec, SweepSpec, halftone, read_gray, run_sweep, write_gray
-from inkchannel.channel import _block_mask, _channel_bits, _noise_bits
+from inkchannel.channel import _block_mask, _channel_bits, _noise_bits, _pcg64_states
 from inkchannel.imagery import _histogram_bins
 
 import exact_oracle
@@ -112,8 +112,8 @@ def test_block_histogram_bins_within_four_standard_errors_of_exact(kind):
     for (height, width), algorithm, t in itertools.product(BLOCK_SHAPES, ALGORITHMS, (0.05, 0.2, 0.5)):
         g = halftone(natural_gray(width, height), algorithm).bits
         mask = _block_mask(g, KINDS[kind]) if KINDS[kind] else None
-        fractions = np.array([_histogram_bins(_channel_bits(g, _noise_bits(g.shape, t, seed), kind, mask), BLOCK_HIST)
-                              for seed in range(REPS)])
+        fields = _noise_bits(g.shape, t, _pcg64_states(range(REPS)))  # seeds 0 .. REPS - 1
+        fractions = np.array([_histogram_bins(_channel_bits(g, v, kind, mask), BLOCK_HIST) for v in fields])
         mean, var = exact_oracle.block_bin_moments(g, kind, t, BLOCK_HIST.block, BLOCK_HIST.bins, KINDS[kind])
         case = (height, width, algorithm.label(), t)
         assert math.isclose(mean.sum(), 1.0, rel_tol=1e-12), case

@@ -187,10 +187,42 @@ def test_kl_matches_one_piece_oracle_bit_for_bit():
         q = p.copy() if i % 10 == 0 else q + (q.sum() == 0)
         p, q = p / p.sum(), q / q.sum()
         for smoothing in (None, 1e-9, 0.5):
-            got, want = _kl_from(_kl_reference(p, smoothing), q), sweep_oracle.kl(p, q, smoothing)
+            got, want = _kl_from(_kl_reference(p, smoothing), q[np.newaxis])[0], sweep_oracle.kl(p, q, smoothing)
             assert got == want, (p, q, smoothing, got, want)
             seen["inf" if math.isinf(got) else "zero" if got == 0.0 else "finite"] += 1
     assert min(seen.values()) >= 200, seen
+
+
+def test_row_wise_kl_is_relative_entropy_of_each_row():
+    """_kl_from scores a block row by row: each row's float is relative_entropy's on that row alone, bit for
+    bit, over blocks that mix finite rows, rows within float dust of p (whose sum can land in the -1e-15
+    clip band) and, unsmoothed, rows that empty a bin p fills (inf)."""
+    rng = np.random.default_rng(27)
+    seen = {"inf": 0, "finite": 0, "clip band": 0}
+    for _ in range(300):
+        size = int(rng.integers(2, 17))
+        p = rng.random(size) * (rng.random(size) > 0.25)
+        p[rng.integers(size)] += 0.5
+        p /= p.sum()
+        rows = []
+        for kind in rng.integers(0, 3, size=int(rng.integers(1, 9))):
+            q = p * (1 + rng.normal(0, 1e-9, size)) if kind == 1 else rng.random(size) + 1e-3
+            if kind == 2:
+                q[np.argmax(p)] = 0.0
+            rows.append(q / q.sum())
+        block = np.array(rows)
+        for smoothing in (1e-9, None):  # unsmoothed last, whose scores the checks below read
+            got = _kl_from(_kl_reference(p, smoothing), block)
+            want = [relative_entropy(Histogram(p), Histogram(q), smoothing) for q in block]
+            assert [x.hex() for x in got] == [x.hex() for x in want], (p, block, smoothing)
+        s = p > 0
+        with np.errstate(divide="ignore"):
+            raw = [float((p[s] * (np.log2(p[s]) - np.log2(q[s]))).sum()) for q in block]  # each row unclipped
+        for value, q in zip(raw, got):
+            key = "inf" if math.isinf(q) else "clip band" if -1e-15 < value < 0.0 else "finite"
+            seen[key] += 1
+            assert q == 0.0 if key == "clip band" else q == value
+    assert min(seen.values()) >= 50, seen
 
 
 # ---------------------------------------------------------------------------

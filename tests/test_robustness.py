@@ -383,15 +383,34 @@ def test_first_failure_in_canonical_order_is_reported(oracle_corpora, tmp_path):
 @pytest.mark.parametrize("histogram", (("binary", None, None), ("block", 8, 16)))
 @pytest.mark.parametrize("kind, block", (("bitflip", None), ("erase", None), ("block-erase", 3)))
 def test_draw_free_cells_match_oracle_and_jobs(oracle_corpora, kind, block, histogram):
-    """At t = 0, 0.999 and 1 every seed gives the same noise field, so rep 0 draws and the core's later reps
-    reuse its cell, while 255/256 is the last t whose reps each draw; the records equal the object path's,
-    at jobs 1 and 2, one seed per rep."""
+    """At t = 0, 0.999 and 1 every seed gives the same noise field, so the core takes no draw and every rep
+    shares rep 0's cell, while 255/256 is the last t whose reps each draw; the records equal the object
+    path's, at jobs 1 and 2, one seed per rep."""
     spec = oracle_spec(oracle_corpora["ragged"], kind, block, histogram, None, t_grid=(0.0, 255 / 256, 0.999, 1.0))
     spec = dataclasses.replace(spec, reps=3)
     records = run_sweep(spec)
     assert records == sweep_oracle.run_sweep(spec)
     assert records == run_sweep(spec, jobs=2)
     assert len({r.seed for r in records}) == len(records) == 2 * 2 * 4 * 3
+
+
+@pytest.mark.parametrize("t_grid, draws_per_rep", (((0.0, 1.0), 0), ((0.5,), 1), ((0.0, 0.5, 0.999), 1)))
+def test_sweep_draws_once_per_cell_of_a_varying_field(corpus_dir, monkeypatch, t_grid, draws_per_rep):
+    """Only a t whose field varies with the seed draws, once per cell: algorithms x images x reps per such t."""
+    draws = []
+
+    class PCG64(np.random.PCG64):  # the name its state dicts carry
+        def random_raw(self, size=None, output=True):
+            draws.append(size)
+            return super().random_raw(size, output)
+
+    monkeypatch.setattr(np.random, "PCG64", PCG64)
+    spec = small_spec(corpus_dir, t_grid=t_grid, reps=3)
+    records = run_sweep(spec)
+    assert len(draws) == draws_per_rep * len(spec.algorithms) * len(spec.corpus) * spec.reps
+    assert set(draws) <= {96 * 96 // 8}
+    monkeypatch.undo()
+    assert records == sweep_oracle.run_sweep(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,19 @@ def test_surface_from_sweep_records_is_pinned(monkeypatch, capsys, tmp_path, cor
     assert stdout == f"wrote {out} (2x2 surface over 2 images)\nblockd more robust in 1/4 cells\n"
 
 
+def test_surface_count_is_compares_verdicts(monkeypatch, capsys, tmp_path):
+    """blockd's mean q 1e-13 below fs's is within compare's tie tolerance: a TIE there, and no cell here."""
+    records, out = tmp_path / "records.csv", tmp_path / "surface.csv"
+    rows = ("fs,a.pgm,bitflip,0.1,,0,1,0.5,0.1,0.5,0.5", f"blockd,a.pgm,bitflip,0.1,3,0,2,{0.5 - 1e-13!r},0.1,0.5,0.5")
+    records.write_text(",".join(RECORD_FIELDS) + "\n" + "\n".join(rows) + "\n")
+    assert main(["compare", "--records", str(records), "--a", "fs", "--b", "blockd:h=3"]) == 0
+    assert "TIE" in capsys.readouterr().out
+    code, stdout, stderr = run_script(monkeypatch, capsys, "fs_vs_blockd_surface.py", "--records", records,
+                                      "--out", out)
+    assert (code, stderr) == (0, "")
+    assert stdout.endswith("\nblockd more robust in 0/1 cells\n")
+
+
 @pytest.mark.parametrize("case", ["aggregates", "two-families"])
 def test_surface_refuses_other_records(monkeypatch, capsys, tmp_path, corpus, case):
     """The sweep's .agg.csv has the wrong header; a second non-blockd family leaves no one first side."""
