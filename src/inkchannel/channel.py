@@ -26,7 +26,6 @@ __all__ = [
     "noise_density",
     "apply_gate",
     "transmit_bitflip",
-    "transmit_erase",
     "transmit_block_erase",
     "transmit",
     "bsc_capacity",
@@ -35,8 +34,9 @@ __all__ = [
 
 _GATES = {"not": np.bitwise_xor, "set1": np.bitwise_or}  # gate op -> its ufunc on (target, control)
 GATE_OPS = tuple(_GATES)
-_KIND_GATES = {"bitflip": "not", "erase": "set1", "block-erase": "set1"}  # channel kind -> its gate op
-CHANNEL_KINDS = tuple(_KIND_GATES)
+# channel kind -> (its gate op, whether each block's centre bit gates the field)
+_KINDS = {"bitflip": ("not", False), "erase": ("set1", False), "block-erase": ("set1", True)}
+CHANNEL_KINDS = tuple(_KINDS)
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -84,8 +84,8 @@ def _known_kind(kind: str) -> str:
 
 
 def _check_kind(kind: str, block: BlockSpec | None) -> None:
-    """The channel-kind rule: a known kind, with a block exactly for block erase."""
-    if (block is not None) != (_known_kind(kind) == "block-erase"):
+    """The channel-kind rule: a known kind, with a block exactly for the kind whose block centres gate."""
+    if (block is not None) != _KINDS[_known_kind(kind)][1]:
         raise ValueError("block spec must be present exactly when kind is 'block-erase'")
 
 
@@ -233,38 +233,30 @@ def _block_mask(g: np.ndarray, block: int) -> np.ndarray:
 
 def _channel_bits(g: np.ndarray, v: np.ndarray, kind: str, mask: np.ndarray | None = None) -> np.ndarray:
     """Bits ``g`` after channel ``kind`` with noise field ``v``, block erase's under ``mask``; transmit's core."""
-    return _GATES[_KIND_GATES[kind]](g, v if mask is None else v & mask)
-
-
-def transmit_bitflip(g: BinaryImage, power: NoisePower, seed: int) -> BinaryImage:
-    """Flip each bit where the noise field is 1 (0->1, 1->0)."""
-    return BinaryImage(_channel_bits(g.bits, gen_noise(g.width, g.height, power, seed).bits, "bitflip"))
-
-
-def transmit_erase(g: BinaryImage, power: NoisePower, seed: int) -> BinaryImage:
-    """Erase toward ink: g' = v OR g; existing dots are always preserved."""
-    return BinaryImage(_channel_bits(g.bits, gen_noise(g.width, g.height, power, seed).bits, "erase"))
-
-
-def transmit_block_erase(g: BinaryImage, power: NoisePower, block: BlockSpec, seed: int) -> BinaryImage:
-    """Erase within blocks whose center pixel carries ink.
-
-    The image is tiled into non-overlapping size x size blocks with the center
-    at offset ((size-1)/2, (size-1)/2).  A tile whose center bit is 1 becomes
-    v OR g; tiles with center 0, and edge tiles too small to contain a center,
-    pass through unchanged.
-    """
-    v = gen_noise(g.width, g.height, power, seed).bits
-    return BinaryImage(_channel_bits(g.bits, v, "block-erase", _block_mask(g.bits, block.size)))
+    return _GATES[_KINDS[kind][0]](g, v if mask is None else v & mask)
 
 
 def transmit(g: BinaryImage, cfg: ChannelConfig) -> BinaryImage:
-    """Send a halftone through the configured channel."""
-    if cfg.kind == "bitflip":
-        return transmit_bitflip(g, cfg.power, cfg.seed)
-    if cfg.kind == "erase":
-        return transmit_erase(g, cfg.power, cfg.seed)
-    return transmit_block_erase(g, cfg.power, cfg.block, cfg.seed)
+    """Send a halftone through channel ``cfg``: ``gen_noise``'s field v for g's size drives the kind's gate.
+
+    bitflip flips each bit where the field is 1 (0->1, 1->0).  erase erases toward ink, g' = v OR g, so
+    existing dots are always preserved.  block-erase erases within blocks whose center pixel carries ink:
+    the image is tiled into non-overlapping size x size blocks with the center at offset ((size-1)/2,
+    (size-1)/2); a tile whose center bit is 1 becomes v OR g, and tiles with center 0, and edge tiles too
+    small to contain a center, pass through unchanged."""
+    v = gen_noise(g.width, g.height, cfg.power, cfg.seed).bits
+    return BinaryImage(_channel_bits(g.bits, v, cfg.kind, cfg.block and _block_mask(g.bits, cfg.block.size)))
+
+
+# perfbench traces these two names; they go once its spans are retargeted (ROADMAP item 1)
+def transmit_bitflip(g: BinaryImage, power: NoisePower, seed: int) -> BinaryImage:
+    """``transmit`` with kind bitflip."""
+    return transmit(g, ChannelConfig("bitflip", power, seed))
+
+
+def transmit_block_erase(g: BinaryImage, power: NoisePower, block: BlockSpec, seed: int) -> BinaryImage:
+    """``transmit`` with kind block-erase."""
+    return transmit(g, ChannelConfig("block-erase", power, seed, block))
 
 
 def bsc_capacity(p: float) -> float:

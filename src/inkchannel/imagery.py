@@ -359,7 +359,7 @@ def _histogram_bins(bits: np.ndarray, spec: HistogramSpec) -> np.ndarray:
 
 def binary_histogram(img: BinaryImage) -> Histogram:
     """Two-bin histogram [p(bit=0), p(bit=1)]."""
-    return Histogram(_ink_bins(np.count_nonzero(img.bits), img.bits.size))
+    return Histogram(_histogram_bins(img.bits, HistogramSpec()))
 
 
 def block_lightness_histogram(img: BinaryImage, block: int, bins: int) -> Histogram:

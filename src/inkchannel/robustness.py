@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (_KIND_GATES, BlockSpec, NoisePower, _block_mask, _channel_bits, _check_kind, _known_kind,
+from .channel import (_KINDS, BlockSpec, NoisePower, _block_mask, _channel_bits, _check_kind, _known_kind,
                       _noise_bits, _pcg64_states, derive_seed)
 from .halftone import HalftoneSpec, _check_h, _halftone_bits
 from .imagery import HistogramSpec, _check_int, _check_seed, _histogram_bins, _ink_bins, _read_text, read_gray
@@ -198,17 +198,18 @@ def _run_task(spec: SweepSpec, task: tuple) -> list[RobustnessRecord]:
     buffer.  The spec was checked when built, so cells run on plain uint8 arrays.
 
     The unit of work is one (image, t) run of reps.  Each rep draws its field into the buffer, applies
-    the gate and counts the sent image's ink, which gives f_out (count / n, as ink_fraction computes it)
-    and, under the binary histogram, the bins.  e's count / n equals the mean euclidean_distance takes,
-    since a 0/1 sum is an exact integer: the field's ones for a flip, and the ink added for a set1 gate,
-    which only adds ink.  The run's bins are then scored as one block, row by row (``metrics._kl_from``).
-    Where the field is the same for every seed, ``_noise_bits`` takes no draw and yields it once, and the
-    run scores that one cell, whose q, e and f_out every rep shares; each rep keeps its own seed."""
+    the kind's gate as ``transmit`` does (``channel._channel_bits``) and counts the sent image's ink, which
+    gives f_out (count / n, as ink_fraction computes it) and, under the binary histogram, the bins.  e's
+    count / n equals the mean euclidean_distance takes, since a 0/1 sum is an exact integer: the field's
+    ones for a flip, and the ink added for a set1 gate, which only adds ink.  The run's bins are then
+    scored as one block, row by row (``metrics._kl_from``).  Where the field is the same for every seed,
+    ``_noise_bits`` takes no draw and yields it once, and the run scores that one cell, whose q, e and
+    f_out every rep shares; each rep keeps its own seed."""
     algo_idx, start, stop = task
     alg = spec.algorithms[algo_idx]
     label, h = _family(alg)
     kind, hist, n_t, reps = spec.channel_kind, spec.histogram, len(spec.t_grid), spec.reps
-    flips = _KIND_GATES[kind] == "not"  # a flip changes exactly the field's ones; set1 only adds ink
+    flips = _KINDS[kind][0] == "not"  # a flip changes exactly the field's ones; set1 only adds ink
     binary = hist.mode == "binary"  # binary bins come from the ink count each cell takes anyway
     paths = spec.corpus[start:stop]
     first = (algo_idx * len(spec.corpus) + start) * n_t * reps

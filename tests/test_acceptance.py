@@ -26,13 +26,13 @@ from inkchannel import (
     read_gray,
     relative_entropy,
     run_sweep,
+    transmit,
     transmit_bitflip,
     transmit_block_erase,
-    transmit_erase,
     write_binary,
     write_gray,
 )
-from inkchannel.channel import BlockSpec, noise_density
+from inkchannel.channel import BlockSpec, ChannelConfig, noise_density
 from inkchannel.robustness import difference_surface
 from inkchannel.cli import main as cli_main
 
@@ -182,7 +182,7 @@ def test_criterion_06_exhaustive_gate_equivalence():
             if tuple(transmit_bitflip(target, power, seed).bits.ravel().tolist()) != want:
                 ok = False
             want = tuple(t | v for t, v in zip(tflat, vflat))
-            if tuple(transmit_erase(target, power, seed).bits.ravel().tolist()) != want:
+            if tuple(transmit(target, ChannelConfig("erase", power, seed)).bits.ravel().tolist()) != want:
                 ok = False
             center = tflat[4]  # single tile, center pixel (1, 1)
             want = tuple((v & center) | t for t, v in zip(tflat, vflat))

@@ -18,7 +18,6 @@ from inkchannel import (
     transmit,
     transmit_bitflip,
     transmit_block_erase,
-    transmit_erase,
 )
 from inkchannel.channel import _noise_bits, _pcg64_states
 
@@ -249,15 +248,15 @@ def test_bitflip_involution_with_same_field():
 
 def test_erase_extremes_and_absorption():
     g = binimg([[0, 1], [1, 0]])
-    assert np.array_equal(transmit_erase(g, NoisePower(0.0), 3).bits, g.bits)
+    assert np.array_equal(transmit(g, ChannelConfig("erase", NoisePower(0.0), 3)).bits, g.bits)
     ones = BinaryImage(np.ones((4, 4), dtype=np.uint8))
     for t in (0.0, 0.3, 1.0):
-        assert transmit_erase(ones, NoisePower(t), 3).bits.all()
+        assert transmit(ones, ChannelConfig("erase", NoisePower(t), 3)).bits.all()
 
 
 def test_erase_density_on_blank_page():
     g = BinaryImage(np.zeros((512, 512), dtype=np.uint8))
-    out = transmit_erase(g, NoisePower(0.3), 11)
+    out = transmit(g, ChannelConfig("erase", NoisePower(0.3), 11))
     d = 77 / 256
     sigma = math.sqrt(d * (1 - d) / (512 * 512))
     assert abs(out.ink_fraction() - d) <= 3 * sigma
@@ -266,7 +265,7 @@ def test_erase_density_on_blank_page():
 @settings(max_examples=40, deadline=None)
 @given(binary_images(), st.floats(0, 1), st.integers(0, 2**32))
 def test_erase_preserves_ink(g, t, seed):
-    out = transmit_erase(g, NoisePower(t), seed)
+    out = transmit(g, ChannelConfig("erase", NoisePower(t), seed))
     assert (out.bits >= g.bits).all()
 
 

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import re
 import runpy
@@ -456,6 +457,39 @@ def test_sweep_reruns_are_byte_identical(capsys, tmp_path, corpus_dir):
     assert run(capsys, "sweep", "--spec", str(cfg), "--out", str(out2), "--jobs", "2")[0] == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert (tmp_path / "r1.agg.csv").read_bytes() == (tmp_path / "r2.agg.csv").read_bytes()
+
+
+@pytest.mark.parametrize("kind, block, hist", (("bitflip", None, "binary"), ("erase", None, "block:8x4"),
+                                               ("block-erase", 3, "block:8x4")))
+def test_transmit_seed_replays_every_sweep_record(capsys, tmp_path, monkeypatch, kind, block, hist):
+    """Each record of a sweep is replayed by the CLI verbs: halftone, transmit with the record's seed, metric kl
+    with the sweep's histogram and smoothing, and metric euclid print its f_in, f_out, q and e."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_corpus.py"
+    corpus = tmp_path / "corpus"
+    monkeypatch.setattr(sys, "argv", [str(script), "--out", str(corpus), "--count", "2", "--size", "32"])
+    runpy.run_path(str(script), run_name="__main__")
+    cfg, records = tmp_path / "replay.cfg", tmp_path / "records.csv"
+    cfg.write_text(f"algorithms = fs, blockd:h=3\nkind = {kind}\nt_grid = 0.1, 0.3\nreps = 2\nseed = 9\n"
+                   f"corpus = {corpus}\nhist = {hist}\n" + ("" if block is None else f"block = {block}\n"))
+    assert run(capsys, "sweep", "--spec", str(cfg), "--out", str(records))[0] == 0
+    rows = list(csv.DictReader(records.read_text().splitlines()))
+    assert len(rows) == 2 * 2 * 2 * 2
+    block_flag = [] if block is None else ["--block", str(block)]
+    g, gp = str(tmp_path / "g.pbm"), str(tmp_path / "gp.pbm")
+    for row in rows:
+        want = {name: format_scalar(float(row[name])) for name in ("f_in", "f_out", "q_bits", "e_dist")}
+        token = f"blockd:h={row['h']}" if row["h"] else row["algo"]
+        steps = (
+            (["halftone", "--algo", token, "--input", str(corpus / row["image"]), "--output", g], [want["f_in"]]),
+            (["transmit", "--kind", kind, *block_flag, "--power", row["t"], "--seed", row["seed"], "--input", g,
+              "--output", gp], [f"f_in={want['f_in']}", f"f_out={want['f_out']}"]),
+            (["metric", "--name", "kl", "--a", g, "--b", gp, "--hist", hist, "--smoothing", "additive:1e-09"],
+             [want["q_bits"]]),
+            (["metric", "--name", "euclid", "--a", g, "--b", gp], [want["e_dist"]]),
+        )
+        for argv, lines in steps:
+            code, stdout, stderr = run(capsys, *argv)
+            assert (code, stdout.splitlines()) == (0, lines), (row, argv, stderr)
 
 
 def test_sweep_negative_zero_t_writes_zero(capsys, tmp_path, monkeypatch, corpus_dir):

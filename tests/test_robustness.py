@@ -1,7 +1,11 @@
+import argparse
 import dataclasses
+import itertools
 import math
 import re
+import runpy
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from inkchannel import (
     write_records_csv,
 )
 from inkchannel import robustness
+from inkchannel.cli import _parse_algorithm_token
 from inkchannel.robustness import write_aggregates_csv
 
 import sweep_oracle
@@ -411,6 +416,47 @@ def test_sweep_draws_once_per_cell_of_a_varying_field(corpus_dir, monkeypatch, t
     assert set(draws) <= {96 * 96 // 8}
     monkeypatch.undo()
     assert records == sweep_oracle.run_sweep(spec)
+
+
+RESEED_ALGORITHMS = ("threshold", "random:seed=7", "fs", "bayer", "cdot", "dotdif", "blockd:h=19")
+RESEED_T = (0.05, 0.1, 0.2, 0.3)
+
+
+@pytest.fixture(scope="module")
+def corpus_128(tmp_path_factory):
+    """scripts/make_corpus.py --count 8 --size 128 (seed 1)."""
+    out = tmp_path_factory.mktemp("corpus128")
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_corpus.py"
+    runpy.run_path(str(script))["write_corpus"](argparse.Namespace(out=out, count=8, size=128, seed=1))
+    return tuple(sorted(out.glob("*.pgm")))
+
+
+def test_conclusions_survive_reseeding(corpus_128):
+    """The harness's conclusions do not hang on one master seed.  Over {bitflip, erase} x {binary, block:8x16} at
+    master seeds 1, 2 and 3, no algorithm pair at a t is decided (|diff| > 3 se, se from the per-(image, rep) q
+    values) with opposite signs at two seeds, and threshold has the largest mean q everywhere.  No digest is
+    named, so a change of the seed index that keeps the experiment sound leaves this test as it is."""
+    algorithms = tuple(_parse_algorithm_token(token) for token in RESEED_ALGORITHMS)
+    labels = [alg.label() for alg in algorithms]
+    signs, decided = {}, 0
+    for kind, hist, seed in itertools.product(("bitflip", "erase"), ((), ("block", 8, 16)), (1, 2, 3)):
+        spec = SweepSpec(algorithms, kind, RESEED_T, 8, HistogramSpec(*hist, smoothing=1e-9), seed, corpus_128)
+        q = {}
+        for r in run_sweep(spec):
+            q.setdefault((r.algo, r.t), []).append(r.q_bits)
+        for t in RESEED_T:
+            means = {label: np.mean(q[label, t]) for label in labels}
+            assert max(means, key=means.get) == labels[0], (kind, hist, seed, t, means)
+            for a, b in itertools.combinations(labels, 2):
+                qa, qb = np.array(q[a, t]), np.array(q[b, t])
+                se = math.sqrt(qa.var(ddof=1) / qa.size + qb.var(ddof=1) / qb.size)
+                diff = means[a] - means[b]
+                if abs(diff) > 3 * se:
+                    decided += 1
+                    signs.setdefault((kind, hist, a, b, t), set()).add(diff > 0)
+    reversed_ = [key for key, seen in signs.items() if len(seen) > 1]
+    assert not reversed_, reversed_
+    assert decided > 200  # most verdicts are decided, so the check has something to hold
 
 
 # ---------------------------------------------------------------------------
