@@ -165,8 +165,8 @@ def _per_slice(kernel, pixels: np.ndarray, *param) -> np.ndarray:
 
 
 def _random_bits(pixels: np.ndarray, seed: int) -> np.ndarray:
-    """Per-pixel coin: ink where a uniform [0, 1) draw falls below darkness.  The seed is the spec's,
-    so every image of one shape draws the same u: one draw serves a stack."""
+    """Per-pixel coin: ink where a uniform [0, 1) draw falls below darkness.  The seed is the spec's, so every
+    image of one shape draws the same u: a stack takes one draw, and each image is compared with it in turn."""
     u = np.random.Generator(np.random.PCG64(seed)).random(pixels.shape[:2])
     return _per_slice(lambda image: u < _darkness(image), pixels)
 

@@ -210,9 +210,10 @@ def _sample(tok: bytes) -> int:
 def _ascii_payload(text: bytes, gray: bool, count: int) -> np.ndarray:
     """First ``count`` P2 samples or P1 bits of ``text``; later bytes are ignored.
 
-    Comments may sit anywhere; P1 digits need no separators.  Every list and
-    array here is sized by the file's bytes, never by the header's claim.
-    """
+    Comments may sit anywhere; P1 digits need no separators.  Every list and array here is sized by the file's
+    bytes, never by the header's claim.  P2 tokens are found by a 256-entry whitespace table and read by a digit
+    table; one it cannot read (over 3 bytes, a non-digit, above 255) goes to ``int()`` in file order, before the
+    count check, so an odd token costs one call.  Oracle: ``tests/netpbm_oracle.py``'s token loop."""
     text = _COMMENT.sub(b" ", text)
     if gray:
         raw = np.frombuffer(text, dtype=np.uint8)
@@ -220,7 +221,6 @@ def _ascii_payload(text: bytes, gray: bool, count: int) -> np.ndarray:
         starts, ends = edges[: 2 * count : 2], edges[1 : 2 * count : 2]
         size, digit = ends - starts, _DIGIT.take(raw)
         vals = sum((size > j) * digit.take(ends - 1 - j, mode="clip") * 10**j for j in range(3))
-        # a token the digit table cannot read (over 3 bytes, a non-digit, above 255) goes to int(), in file order
         for i in np.flatnonzero((size > 3) | (vals > 255)):
             vals[i] = _sample(text[starts[i] : ends[i]])
         if len(vals) < count:

@@ -13,7 +13,6 @@ import io
 import math
 import operator
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -252,21 +251,22 @@ def _run_task(spec: SweepSpec, task: tuple) -> list[RobustnessRecord]:
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[RobustnessRecord]:
     """One record per (algorithm, image, t, rep), in canonical order.
 
-    A task is one algorithm over a run of consecutive images, which it halftones as same-shape stacks;
-    ``jobs`` > 1 distributes the tasks across at most that many processes.  A cell's seed index is its
-    canonical place, so the output is identical for every jobs value.
-    """
+    A task is one algorithm over a run of consecutive images, halftoned as same-shape stacks; ``jobs`` > 1 spreads
+    the tasks over at most that many processes, each algorithm's images in min(jobs, ceil(2 * jobs / algorithms))
+    runs: the pool needs about two tasks per worker to even out, and each split adds a stack's fixed cost to FS
+    and dot diffusion.  A cell's seed index is its canonical place, so every jobs value gives the same output."""
     _check_int(jobs, "jobs", 1)
-    n_img = len(spec.corpus)
-    step = min(_STACK, -(-n_img // jobs))  # as large a run as leaves each algorithm a task per worker
-    tasks = [(ai, start, start + step) for ai in range(len(spec.algorithms)) for start in range(0, n_img, step)]
-    task = partial(_run_task, spec)
+    n_img, n_alg = len(spec.corpus), len(spec.algorithms)
+    runs = min(jobs, -(-2 * jobs // n_alg))  # as few runs as give each worker about two tasks
+    step = min(_STACK, -(-n_img // runs))
+    tasks = [(ai, start, start + step) for ai in range(n_alg) for start in range(0, n_img, step)]
     workers = min(jobs, len(tasks))  # a pool starts all its workers up front
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(task, tasks))
+            chunks = list(pool.map(partial(_run_task, spec), tasks))
     else:
-        chunks = list(map(task, tasks))
+        chunks = [_run_task(spec, task) for task in tasks]
     return [rec for chunk in chunks for rec in chunk]
 
 

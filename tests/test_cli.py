@@ -1,7 +1,9 @@
 import csv
 import hashlib
+import os
 import re
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -870,6 +872,23 @@ def test_console_script_reads_sys_argv(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["inkchannel"])
     assert main() == 2
     assert "the following arguments are required: verb" in capsys.readouterr().err
+
+
+def test_cold_start_loads_no_process_pool(tmp_path):
+    """A fresh interpreter that imports the CLI, parses a sweep config and builds the parser loads neither
+    multiprocessing nor concurrent.futures: only a sweep that starts a pool imports them."""
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        "from inkchannel.cli import build_parser, parse_sweep_config\n"
+        f"parse_sweep_config({str(root / 'sweep.example.cfg')!r})\n"
+        "build_parser()\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------

@@ -99,9 +99,11 @@ def test_sweep_jobs_invariant(corpus_dir, tmp_path):
 
 
 def test_sweep_starts_no_idle_workers(corpus_dir, monkeypatch):
-    started = []
+    """A sweep starts no pool for one task, and splits each algorithm's images into
+    min(jobs, ceil(2 * jobs / algorithms)) runs, about two tasks per worker, with the records of jobs 1."""
+    started, mapped = [], []
 
-    class RecordingPool:  # records max_workers and runs the tasks in-process
+    class RecordingPool:  # records max_workers and the task list, and runs the tasks in-process
         def __init__(self, max_workers):
             started.append(max_workers)
 
@@ -112,9 +114,11 @@ def test_sweep_starts_no_idle_workers(corpus_dir, monkeypatch):
             return False
 
         def map(self, fn, tasks):
-            return map(fn, tasks)
+            mapped.append(list(tasks))
+            return map(fn, mapped[-1])
 
-    monkeypatch.setattr(robustness, "ProcessPoolExecutor", RecordingPool)
+    # run_sweep imports the pool from concurrent.futures only when it starts one
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     image = str(sorted(corpus_dir.glob("*.pgm"))[0])
     one_task = small_spec(corpus_dir, algorithms=(HalftoneSpec("fs"),), corpus=(image,))
     two_tasks = small_spec(corpus_dir, corpus=(image,))
@@ -125,6 +129,20 @@ def test_sweep_starts_no_idle_workers(corpus_dir, monkeypatch):
     for jobs in (0, -1, 2.0):
         with pytest.raises(ValueError, match="jobs"):
             run_sweep(one_task, jobs=jobs)
+    seven = tuple(map(_parse_algorithm_token, "threshold random:seed=7 fs bayer cdot dotdif blockd:h=3".split()))
+    halves = ((0, 2), (2, 4))  # the corpus's three images in runs of 2
+    for algorithms, jobs, tasks in (
+        (seven, 2, [(ai, 0, 3) for ai in range(7)]),  # one whole-corpus task per algorithm
+        (seven[4:], 2, [(ai, *run) for ai in range(3) for run in halves]),
+        (seven[2:3], 2, [(0, *run) for run in halves]),
+        (seven, 4, [(ai, *run) for ai in range(7) for run in halves]),
+    ):
+        spec, case = small_spec(corpus_dir, algorithms=algorithms), (len(algorithms), jobs)
+        assert len(spec.corpus) == 3
+        mapped.clear()
+        assert run_sweep(spec, jobs=jobs) == run_sweep(spec), case
+        assert mapped == [tasks], case
+        assert started[-1] == jobs, case
 
 
 def test_sweep_records_carry_densities(corpus_dir):
@@ -281,7 +299,7 @@ def test_interleaved_shapes_match_object_oracle(oracle_corpora, tmp_path, kind, 
 def test_fs_runs_and_task_splits_match_object_oracle(oracle_corpora, tmp_path, monkeypatch, fs_stack):
     """Runs of consecutive same-shape images (three 131x97, 5x120, two 1x1, 131x97) give the object path's
     records for fs, dotdif and blockd whatever the task size: stacks of 1, 2 and up to 16 images at jobs 1,
-    and jobs 2 and 3, where each algorithm splits the corpus into a task per worker."""
+    and jobs 2 and 3, where each algorithm splits the corpus into two runs, about two tasks per worker."""
     monkeypatch.setattr(robustness, "_STACK", fs_stack)
     ragged, tiny = oracle_corpora["ragged"], oracle_corpora["tiny"][0]
     extra = []
