@@ -28,6 +28,8 @@ __all__ = [
 
 
 def build_histogram(img: BinaryImage, spec: HistogramSpec) -> Histogram:
+    """The histogram of a binary image as ``spec`` builds it: two ink bins in binary mode, or the
+    binned ink densities of its tiles in block mode (``block_lightness_histogram``)."""
     return Histogram(_histogram_bins(img.bits, spec))
 
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-import operator
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -52,6 +52,13 @@ class SweepError(RuntimeError):
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """One sweep: algorithms x corpus images x t grid x reps under one channel kind and histogram.
+
+    This is the one place a sweep is checked.  Building it reads each t through NoisePower and refuses an
+    empty axis, a t outside [0, 1], an unknown kind or a block that does not fit it, a bad rep count or
+    seed, and any repeat that would merge records.  The sweep builds every record from these values and
+    checks none again."""
+
     algorithms: tuple
     channel_kind: str
     t_grid: tuple
@@ -93,8 +100,7 @@ def _family(alg: HalftoneSpec) -> tuple[str, int | None]:
     return alg.label(), alg.h
 
 
-@dataclass(frozen=True)
-class RobustnessRecord:
+class RobustnessRecord(NamedTuple):
     algo: str
     image: str
     noise_kind: str
@@ -107,25 +113,8 @@ class RobustnessRecord:
     f_in: float
     f_out: float
 
-    def __post_init__(self):
-        _known_kind(self.noise_kind)
-        object.__setattr__(self, "t", NoisePower(self.t).t)  # t=0, 0.0 and -0.0 group and print alike
-        if self.h is not None:  # a blockd record may leave h empty
-            if self.algo != "blockd":
-                raise ValueError(f"h is recorded for blockd only, got h={self.h!r} for {self.algo!r}")
-            _check_h(self.h)
-        _check_int(self.rep, "rep", 0)
-        _check_seed(self.seed)
-        if not 0.0 <= self.q_bits <= math.inf:
-            raise ValueError(f"divergence must lie in [0, inf], got {self.q_bits}")
-        for name in ("e_dist", "f_in", "f_out"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
 
-
-@dataclass(frozen=True)
-class ComparisonVerdict:
+class ComparisonVerdict(NamedTuple):
     algo_k: str
     algo_t: str
     t: float
@@ -135,8 +124,7 @@ class ComparisonVerdict:
     verdict: str  # K_MORE_ROBUST | T_MORE_ROBUST | TIE
 
 
-@dataclass(frozen=True)
-class AggregateRow:
+class AggregateRow(NamedTuple):
     algo: str
     noise_kind: str
     t: float
@@ -146,11 +134,29 @@ class AggregateRow:
     n: int
 
 
-RECORD_FIELDS = tuple(f.name for f in fields(RobustnessRecord))
-AGGREGATE_FIELDS = tuple(f.name for f in fields(AggregateRow))
+RECORD_FIELDS, AGGREGATE_FIELDS = RobustnessRecord._fields, AggregateRow._fields
 # a records-CSV field's parser, by its annotation on RobustnessRecord; an empty h reads as None
-_PARSERS = {"str": str, "float": float, "int": int, "int | None": lambda text: int(text) if text else None}
-_RECORD_PARSERS = tuple(_PARSERS[f.type] for f in fields(RobustnessRecord))
+_PARSERS = {str: str, float: float, int: int, int | None: lambda text: int(text) if text else None}
+_RECORD_PARSERS = tuple(_PARSERS[a] for a in get_type_hints(RobustnessRecord).values())
+
+
+def _checked_record(row: list) -> RobustnessRecord:
+    """A records-CSV row, each field parsed by its annotation and checked for the rules a sweep's records keep."""
+    r = RobustnessRecord(*(parse(text) for parse, text in zip(_RECORD_PARSERS, row)))
+    _known_kind(r.noise_kind)
+    t = NoisePower(r.t).t  # t=0, 0.0 and -0.0 group and print alike
+    if r.h is not None:  # a blockd record may leave h empty
+        if r.algo != "blockd":
+            raise ValueError(f"h is recorded for blockd only, got h={r.h!r} for {r.algo!r}")
+        _check_h(r.h)
+    _check_int(r.rep, "rep", 0)
+    _check_seed(r.seed)
+    if not 0.0 <= r.q_bits <= math.inf:
+        raise ValueError(f"divergence must lie in [0, inf], got {r.q_bits}")
+    for name, v in (("e_dist", r.e_dist), ("f_in", r.f_in), ("f_out", r.f_out)):
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {v}")
+    return r._replace(t=t)
 
 
 _STACK = 16  # images per task at most; a task reads its run ahead, and FS's wave buffer grows with its stacks
@@ -386,7 +392,7 @@ def _write_csv(rows, fields, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fields)
-        writer.writerows(map(operator.attrgetter(*fields), rows))
+        writer.writerows(rows)
 
 
 def write_records_csv(records, path) -> None:
@@ -405,7 +411,7 @@ def read_records_csv(path) -> list[RobustnessRecord]:
             try:
                 if len(row) != len(RECORD_FIELDS):
                     raise ValueError(f"expected {len(RECORD_FIELDS)} fields, got {len(row)}")
-                records.append(RobustnessRecord(*(parse(text) for parse, text in zip(_RECORD_PARSERS, row))))
+                records.append(_checked_record(row))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     except csv.Error as exc:  # a line the csv module cannot split, such as an over-long field

@@ -749,9 +749,14 @@ def test_corpus_average_stderr():
 
 
 def test_integer_and_float_t_give_the_same_outputs(tmp_path):
-    """Records built with t=0, t=0.0 and t=-0.0 are one group whatever their
-    order: the same rows, aggregates CSV bytes and difference_surface message."""
-    zeros = [rec(t=0, image="a.pgm", q=0.1), rec(t=0.0, image="b.pgm", q=0.3), rec(t=-0.0, image="c.pgm", q=0.1)]
+    """Records read with t=0, t=0.0 and t=-0.0 are one group whatever their
+    order: the same rows, aggregates CSV bytes and difference_surface message.
+    The writer writes each t as it was built; the reader normalises it, as SweepSpec does for a sweep."""
+    path = tmp_path / "records.csv"
+    built = [rec(t=0, image="a.pgm", q=0.1), rec(t=0.0, image="b.pgm", q=0.3), rec(t=-0.0, image="c.pgm", q=0.1)]
+    write_records_csv(built, path)
+    assert [line.split(",")[3] for line in path.read_text().splitlines()[1:]] == ["0", "0.0", "-0.0"]
+    zeros = read_records_csv(path)
     blockd = [rec(algo="blockd", t=t, h=5) for t in (0.2, 0.3)]
     outputs = []
     for i, records in enumerate((zeros, zeros[::-1])):
@@ -776,45 +781,76 @@ def test_records_csv_round_trip(tmp_path):
     assert read_records_csv(path) == records
 
 
-@pytest.mark.parametrize("kind", ["bitflip", "erase"])
-def test_sweep_records_read_back_with_the_same_types(corpus_dir, tmp_path, kind):
-    """Every float field of a sweep record is a Python float, as in the record read back from its CSV,
-    so repr(record) prints plain numbers, not np.float64(...)."""
-    records = run_sweep(small_spec(corpus_dir, channel_kind=kind))
+BINARY, BLOCK_4X8 = HistogramSpec(smoothing=1e-9), HistogramSpec("block", 4, 8, smoothing=1e-9)
+BOUNDARY_T = (0, 0.5, 0.999, 1)  # every seed but at 0.5 gives the same field, so every rep shares rep 0's cell
+
+
+@pytest.mark.parametrize(
+    "kind, block, hist, t_grid",
+    [
+        pytest.param("bitflip", None, BINARY, (0.0, 0.2), id="bitflip"),
+        pytest.param("erase", None, BINARY, (0.0, 0.2), id="erase"),
+        pytest.param("block-erase", BlockSpec(3), BLOCK_4X8, (0.0, 0.2), id="block-erase"),
+        pytest.param("bitflip", None, BINARY, BOUNDARY_T, id="bitflip-boundary"),
+        pytest.param("erase", None, BINARY, BOUNDARY_T, id="erase-boundary"),
+        pytest.param("block-erase", BlockSpec(3), BLOCK_4X8, BOUNDARY_T, id="block-erase-boundary"),
+    ],
+)
+def test_sweep_records_read_back_with_the_same_types(corpus_dir, tmp_path, kind, block, hist, t_grid):
+    """Every row a sweep builds is one read_records_csv accepts, unchanged, at the boundary t grid too; and every
+    float field of a sweep record is a Python float, as in the record read back from its CSV, so repr(record)
+    prints plain numbers, not np.float64(...)."""
+    records = run_sweep(small_spec(corpus_dir, channel_kind=kind, block=block, histogram=hist, t_grid=t_grid))
     path = tmp_path / "records.csv"
     write_records_csv(records, path)
     back = read_records_csv(path)
     assert back == records
     for built, read in zip(records, back):
-        assert [type(v) for v in vars(built).values()] == [type(v) for v in vars(read).values()]
+        assert [type(v) for v in built._asdict().values()] == [type(v) for v in read._asdict().values()]
     assert {type(getattr(r, f)) for r in records for f in ("t", "q_bits", "e_dist", "f_in", "f_out")} == {float}
     assert "np." not in repr(records)
 
 
-def test_record_invariants_enforced():
-    with pytest.raises(ValueError):
-        rec(q=-0.1)
-    with pytest.raises(ValueError):
-        rec(f_in=1.5)
-    for bad in (dict(q=math.nan), dict(e_dist=math.nan), dict(e_dist=1.5), dict(f_out=math.inf), dict(f_in=math.nan)):
-        with pytest.raises(ValueError):
-            rec(**bad)
-    for bad, message in ((dict(t=7.5), "noise power"), (dict(t=math.nan), "noise power"), (dict(seed=-1), "seed")):
-        with pytest.raises(ValueError, match=message):
-            rec(**bad)
-    assert rec(q=math.inf).q_bits == math.inf
+def test_record_invariants_enforced(tmp_path):
+    """A record is checked where it enters, in read_records_csv: a record built by hand is taken as it is and
+    written without error, and the reader refuses its row, naming the line and the fault.  A float h or rep can
+    only reach the reader as text, such as 2.5, which int() refuses with its own message."""
+    path = tmp_path / "records.csv"
+
+    def refused(message, **bad):
+        write_records_csv([rec(q=0.25), rec(**bad)], path)
+        with pytest.raises(ValueError, match=r"records\.csv:3: " + re.escape(message)):
+            read_records_csv(path)
+
+    write_records_csv([rec(t=7.5)], path)  # built and written without a check
+    with pytest.raises(ValueError, match=r"records\.csv:2: noise power must lie in \[0, 1\], got 7\.5$"):
+        read_records_csv(path)
+    for bad, message in (
+        (dict(q=-0.1), "divergence must lie in [0, inf], got -0.1"),
+        (dict(f_in=1.5), "f_in must lie in [0, 1], got 1.5"),
+        (dict(q=math.nan), "divergence must lie in [0, inf], got nan"),
+        (dict(e_dist=math.nan), "e_dist must lie in [0, 1], got nan"),
+        (dict(e_dist=1.5), "e_dist must lie in [0, 1], got 1.5"),
+        (dict(f_out=math.inf), "f_out must lie in [0, 1], got inf"),
+        (dict(f_in=math.nan), "f_in must lie in [0, 1], got nan"),
+    ):
+        refused(message, **bad)
+    for bad, message in ((dict(t=math.nan), "noise power"), (dict(seed=-1), "seed")):
+        refused(message, **bad)
+    write_records_csv([rec(q=math.inf)], path)
+    assert read_records_csv(path)[0].q_bits == math.inf
     for bad, message in (
         (dict(noise_kind="bogus"), "unknown channel kind 'bogus'"),
         (dict(algo="blockd", h=0), "block size h must be >= 1, got 0"),
         (dict(algo="blockd", h=-5), "block size h must be >= 1, got -5"),
-        (dict(algo="blockd", h=2.5), "block size h must be an integer, got 2.5"),
+        (dict(algo="blockd", h=2.5), "invalid literal for int() with base 10: '2.5'"),
         (dict(algo="fs", h=3), "h is recorded for blockd only, got h=3 for 'fs'"),
         (dict(rep=-1), "rep must be >= 0, got -1"),
-        (dict(rep=1.5), "rep must be an integer"),
+        (dict(rep=1.5), "invalid literal for int() with base 10: '1.5'"),
     ):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            rec(**bad)
-    assert rec(algo="blockd", h=None).h is None and rec(algo="blockd", h=3).h == 3
+        refused(message, **bad)
+    write_records_csv([rec(algo="blockd", h=None), rec(algo="blockd", h=3)], path)
+    assert [r.h for r in read_records_csv(path)] == [None, 3]
 
 
 def test_read_records_csv_rejects_nan(tmp_path):
