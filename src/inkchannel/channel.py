@@ -215,10 +215,8 @@ def apply_gate(control: BinaryImage, target: BinaryImage, op: str) -> BinaryImag
     if op not in _GATES:
         raise ValueError(f"unknown gate op {op!r} (expected one of {GATE_OPS})")
     if control.bits.shape != target.bits.shape:
-        raise ValueError(
-            f"control {control.width}x{control.height} and target "
-            f"{target.width}x{target.height} dimensions differ"
-        )
+        raise ValueError(f"control {control.width}x{control.height} and target "
+                         f"{target.width}x{target.height} dimensions differ")
     return BinaryImage(_GATES[op](target.bits, control.bits))
 
 

@@ -60,16 +60,18 @@ def _parse_float_list(text: str, what: str) -> list[float]:
 
 
 def _parse_hist(hist: str, lam: float | None) -> metrics.HistogramSpec:
-    if hist == "binary":
-        return metrics.HistogramSpec(mode="binary", smoothing=lam)
-    if hist.startswith("block:"):
-        try:
-            block, bins = (int(part) for part in hist[len("block:"):].split("x"))
-        except ValueError:
-            raise ValueError(f"--hist: bad block spec {hist!r} (want block:<size>x<bins>)") from None
-        with _named("--hist"):
-            return metrics.HistogramSpec(mode="block", block=block, bins=bins, smoothing=lam)
-    raise ValueError(f"--hist: unknown mode {hist!r} (want 'binary' or 'block:<size>x<bins>')")
+    """A --hist token: a mode's name, then ':' and its fields' values joined by 'x' if it takes any."""
+    name, colon, values = hist.partition(":")
+    mode = imagery._HISTOGRAMS.get(name)
+    if mode is None or bool(colon) != bool(mode.fields):  # a ':' comes exactly when the mode takes fields
+        tokens = " or ".join(repr(row.token) for row in imagery._HISTOGRAMS.values())
+        raise ValueError(f"--hist: unknown mode {hist!r} (want {tokens})")
+    try:
+        fields = dict(zip(mode.fields, map(int, values.split("x")) if colon else (), strict=True))
+    except ValueError:
+        raise ValueError(f"--hist: bad {name} spec {hist!r} (want {mode.token})") from None
+    with _named("--hist"):
+        return metrics.HistogramSpec(name, **fields, smoothing=lam)
 
 
 def _parse_smoothing(text: str) -> float | None:
@@ -199,11 +201,8 @@ def cmd_noise(args) -> int:
     power = _noise_power(args.power)
     field = channel.gen_noise(args.width, args.height, power, args.seed)
     imagery.write_binary(field, args.output)
-    print(
-        f"t={format_scalar(power.t)} "
-        f"target_density={format_scalar(channel.noise_density(power))} "
-        f"realized={format_scalar(field.ink_fraction())}"
-    )
+    print(f"t={format_scalar(power.t)} target_density={format_scalar(channel.noise_density(power))} "
+          f"realized={format_scalar(field.ink_fraction())}")
     return EXIT_OK
 
 
@@ -246,7 +245,7 @@ def cmd_metric(args) -> int:
         return EXIT_OK
     # kl
     lam = None if args.smoothing is None else _parse_smoothing(args.smoothing)
-    spec = _parse_hist("binary" if args.hist is None else args.hist, lam)
+    spec = metrics.HistogramSpec(smoothing=lam) if args.hist is None else _parse_hist(args.hist, lam)
     a = _load_binary(args.a, "--a")
     b = _load_binary(args.b, "--b")
     print(format_scalar(metrics.image_relative_entropy(a, b, spec)))
@@ -256,10 +255,7 @@ def cmd_metric(args) -> int:
 def cmd_entropy_curve(args) -> int:
     t_grid = _parse_float_list(args.t_grid, "--t-grid")
     rows = metrics.noise_entropy_curve(args.width, args.height, t_grid, args.reps, args.seed)
-    with open(args.out, "w", newline="") as fh:
-        fh.write("t,mean,std,reps\n")
-        for t, mean, std in rows:
-            fh.write(f"{t!r},{mean!r},{std!r},{args.reps}\n")
+    robustness._write_csv([(t, mean, std, args.reps) for t, mean, std in rows], ("t", "mean", "std", "reps"), args.out)
     for t, mean, std in rows:
         print(f"t={format_scalar(t)} mean={format_scalar(mean)} std={format_scalar(std)}")
     return EXIT_OK
@@ -318,10 +314,8 @@ def cmd_compare(args) -> int:
     side_a = _select_family(families, args.a, "--a")
     side_b = _select_family(families, args.b, "--b")
     for v in robustness.compare(side_a, side_b):
-        print(
-            f"t={format_scalar(v.t)}: {v.algo_k} mean_q={format_scalar(v.mean_k)}  "
-            f"{v.algo_t} mean_q={format_scalar(v.mean_t)}  -> {v.verdict}"
-        )
+        print(f"t={format_scalar(v.t)}: {v.algo_k} mean_q={format_scalar(v.mean_k)}  "
+              f"{v.algo_t} mean_q={format_scalar(v.mean_t)}  -> {v.verdict}")
     return EXIT_OK
 
 
@@ -375,7 +369,8 @@ def _metric_args(p) -> None:
     p.add_argument("--name", required=True, choices=tuple(_METRIC_UNUSED))
     p.add_argument("--a", required=True)
     p.add_argument("--b", default=None)
-    p.add_argument("--hist", default=None, help="kl only: binary (default) | block:<size>x<bins>")
+    modes = (row.token + " (default)" * (m == metrics.HistogramSpec.mode) for m, row in imagery._HISTOGRAMS.items())
+    p.add_argument("--hist", default=None, help=f"kl only: {' | '.join(modes)}")
     p.add_argument("--smoothing", default=None, help="kl only: none (default) | additive:<lambda>")
 
 

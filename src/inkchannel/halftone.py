@@ -300,15 +300,15 @@ def _polyphase(a: np.ndarray) -> np.ndarray:
 
 
 def _block_dots(light: np.ndarray, th: int, tw: int) -> np.ndarray:
-    """blockd's dots for a region cut into whole th x tw tiles, all tiles at once.
+    """blockd's dots for a region cut into whole th x tw tiles, all tiles at once, each tile a row.
 
-    Each tile becomes a contiguous row, so a row sum runs the same pairwise
-    summation as the sum of the ravelled tile.  Darkness falls as lightness
-    rises, so the key lightness * area + position orders a row darkest first,
-    ties in row-major order; the k smallest keys are the dots."""
+    A tile's k is its darkness sum S / 255 rounded half up, (2S + 255) // 510 in integers, S being the
+    sum of 255 - p; 2S + 255 is odd, so S / 255 is never within 1/510 of a half and the float sum of
+    darkness rounds the same.  Darkness falls as lightness rises, so the key lightness * area + position
+    orders a row darkest first, ties in row-major order; the k smallest keys are the dots."""
     ny, nx, m = light.shape[0] // th, light.shape[1] // tw, th * tw
     tiles = light.reshape(ny, th, nx, tw).swapaxes(1, 2).reshape(ny * nx, m)
-    k = (_darkness(tiles).sum(axis=1) + 0.5).astype(np.int64)  # round half up: 0.5 darkness -> ink
+    k = (2 * (255 * m - tiles.sum(axis=1, dtype=np.int64)) + 255) // 510  # round half up: 0.5 darkness -> ink
     dtype = np.int32 if m < 1 << 23 else np.int64  # keys stay below 256 * m
     keys = tiles.astype(dtype) * m + np.arange(m, dtype=dtype)
     kth = np.sort(keys, axis=1)[np.arange(ny * nx), np.maximum(k - 1, 0)]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -150,38 +151,6 @@ class Histogram:
     @property
     def bin_count(self) -> int:
         return self.bins.size
-
-
-HISTOGRAM_MODES = ("binary", "block")
-
-
-@dataclass(frozen=True)
-class HistogramSpec:
-    """How image histograms are built for divergence measurements.
-
-    ``block`` (the tile size) and ``bins`` belong to block mode, which requires both; binary mode
-    refuses them.  ``smoothing`` is None for no smoothing or a finite positive additive constant
-    applied to every bin before renormalization.
-    """
-
-    mode: str = "binary"
-    block: int | None = None
-    bins: int | None = None
-    smoothing: float | None = None
-
-    def __post_init__(self):
-        if self.mode not in HISTOGRAM_MODES:
-            raise ValueError(f"unknown histogram mode {self.mode!r} (expected one of {HISTOGRAM_MODES})")
-        if self.mode == "block":
-            if self.block is None or self.bins is None:
-                raise ValueError("block mode requires block size and bin count")
-            _check_int(self.block, "block size", 1)
-            _check_int(self.bins, "bin count", 2)
-        elif self.block is not None or self.bins is not None:
-            field = "block" if self.block is not None else "bins"
-            raise ValueError(f"binary mode does not take {field} (only block mode does)")
-        if self.smoothing is not None and not 0 < self.smoothing < math.inf:
-            raise ValueError(f"additive constant must be > 0 and finite, got {self.smoothing}")
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +319,47 @@ def _block_bins(bits: np.ndarray, block: int, bins: int) -> np.ndarray:
     return counts / counts.sum()
 
 
+# a histogram mode's row: the HistogramSpec fields it takes, each with the name and least value its messages use;
+# its bins of a bit array, given those fields; whether the ink count alone gives those bins; its token
+_Mode = namedtuple("_Mode", "fields bins ink_only token")
+_HISTOGRAMS = {  # histogram mode -> its row; a new mode is one row
+    "binary": _Mode({}, lambda bits: _ink_bins(np.count_nonzero(bits), bits.size), True, "binary"),
+    "block": _Mode({"block": ("block size", 1), "bins": ("bin count", 2)}, _block_bins, False, "block:<size>x<bins>"),
+}
+HISTOGRAM_MODES = tuple(_HISTOGRAMS)
+
+
+@dataclass(frozen=True)
+class HistogramSpec:
+    """How image histograms are built for divergence measurements: a mode requires the fields its ``_HISTOGRAMS``
+    row names (block mode's tile size ``block`` and ``bins``) and refuses the rest by name.  ``smoothing`` is None
+    or a finite positive additive constant applied to every bin before renormalization."""
+
+    mode: str = "binary"
+    block: int | None = None
+    bins: int | None = None
+    smoothing: float | None = None
+
+    def __post_init__(self):
+        if self.mode not in HISTOGRAM_MODES:
+            raise ValueError(f"unknown histogram mode {self.mode!r} (expected one of {HISTOGRAM_MODES})")
+        takes = _HISTOGRAMS[self.mode].fields
+        foreign = [k for k, v in vars(self).items() if v is not None and k not in ("mode", "smoothing", *takes)]
+        if foreign:
+            only = " and ".join(mode for mode, row in _HISTOGRAMS.items() if foreign[0] in row.fields)
+            raise ValueError(f"{self.mode} mode does not take {foreign[0]} (only {only} mode does)")
+        if any(getattr(self, field) is None for field in takes):
+            raise ValueError(f"{self.mode} mode requires {' and '.join(what for what, _ in takes.values())}")
+        for field, (what, least) in takes.items():
+            _check_int(getattr(self, field), what, least)
+        if self.smoothing is not None and not 0 < self.smoothing < math.inf:
+            raise ValueError(f"additive constant must be > 0 and finite, got {self.smoothing}")
+
+
 def _histogram_bins(bits: np.ndarray, spec: HistogramSpec) -> np.ndarray:
     """The probability vector of a bit array's histogram, built per ``spec``."""
-    if spec.mode == "binary":
-        return _ink_bins(np.count_nonzero(bits), bits.size)
-    return _block_bins(bits, spec.block, spec.bins)
+    row = _HISTOGRAMS[spec.mode]
+    return row.bins(bits, *(getattr(spec, field) for field in row.fields))
 
 
 def binary_histogram(img: BinaryImage) -> Histogram:

@@ -100,13 +100,7 @@ def binary_entropy(img: BinaryImage) -> float:
     return -f0 * math.log2(f0) - f1 * math.log2(f1)
 
 
-def noise_entropy_curve(
-    width: int,
-    height: int,
-    t_grid,
-    reps: int,
-    seed: int,
-) -> list[tuple[float, float, float]]:
+def noise_entropy_curve(width: int, height: int, t_grid, reps: int, seed: int) -> list[tuple[float, float, float]]:
     """Mean and sample std of noise-field entropy per power value.
 
     For each t, ``reps`` independent fields are generated from seeds derived

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -22,7 +23,8 @@ import numpy as np
 from .channel import (_KINDS, BlockSpec, NoisePower, _block_mask, _channel_bits, _check_kind, _known_kind,
                       _noise_bits, _pcg64_states, derive_seed)
 from .halftone import HalftoneSpec, _check_h, _halftone_bits
-from .imagery import HistogramSpec, _check_int, _check_seed, _histogram_bins, _ink_bins, _read_text, read_gray
+from .imagery import (_HISTOGRAMS, HistogramSpec, _check_int, _check_seed, _histogram_bins, _ink_bins, _read_text,
+                      read_gray)
 from .metrics import _kl_from, _kl_reference
 
 __all__ = [
@@ -204,18 +206,18 @@ def _run_task(spec: SweepSpec, task: tuple) -> list[RobustnessRecord]:
 
     The unit of work is one (image, t) run of reps.  Each rep draws its field into the buffer, applies
     the kind's gate as ``transmit`` does (``channel._channel_bits``) and counts the sent image's ink, which
-    gives f_out (count / n, as ink_fraction computes it) and, under the binary histogram, the bins.  e's
-    count / n equals the mean euclidean_distance takes, since a 0/1 sum is an exact integer: the field's
-    ones for a flip, and the ink added for a set1 gate, which only adds ink.  The run's bins are then
-    scored as one block, row by row (``metrics._kl_from``).  Where the field is the same for every seed,
-    ``_noise_bits`` takes no draw and yields it once, and the run scores that one cell, whose q, e and
-    f_out every rep shares; each rep keeps its own seed."""
+    gives f_out (count / n, as ink_fraction computes it) and, where the histogram mode's row marks its bins
+    ``ink_only``, the bins.  e's count / n equals the mean euclidean_distance takes, since a 0/1 sum is an
+    exact integer: the field's ones for a flip, and the ink added for a set1 gate, which only adds ink.  The
+    run's bins are then scored as one block, row by row (``metrics._kl_from``).  Where the field is the same
+    for every seed, ``_noise_bits`` takes no draw and yields it once, and the run scores that one cell,
+    whose q, e and f_out every rep shares; each rep keeps its own seed."""
     algo_idx, start, stop = task
     alg = spec.algorithms[algo_idx]
     label, h = _family(alg)
     kind, hist, n_t, reps = spec.channel_kind, spec.histogram, len(spec.t_grid), spec.reps
     flips = _KINDS[kind][0] == "not"  # a flip changes exactly the field's ones; set1 only adds ink
-    binary = hist.mode == "binary"  # binary bins come from the ink count each cell takes anyway
+    ink_only = _HISTOGRAMS[hist.mode].ink_only  # then the bins come from the ink count each cell takes anyway
     paths = spec.corpus[start:stop]
     first = (algo_idx * len(spec.corpus) + start) * n_t * reps
     seeds = [derive_seed(spec.master_seed, first + i) for i in range(len(paths) * n_t * reps)]
@@ -240,10 +242,10 @@ def _run_task(spec: SweepSpec, task: tuple) -> list[RobustnessRecord]:
                     gp = _channel_bits(g, v, kind, mask)
                     inks.append(int(np.count_nonzero(gp)))
                     counts.append(np.count_nonzero(v) if flips else inks[-1] - ink_in)
-                    if not binary:
+                    if not ink_only:
                         rows.append(_histogram_bins(gp, hist))
                 rep = 0  # the block is scored from rep 0 on
-                qs = _kl_from(ref, _ink_bins(np.array(inks), n) if binary else np.array(rows))
+                qs = _kl_from(ref, _ink_bins(np.array(inks), n) if ink_only else np.array(rows))
                 for rep in range(reps):
                     k = rep if len(qs) == reps else 0  # a constant field's one cell stands for every rep
                     e, f_out = math.sqrt(counts[k] / n), inks[k] / n
@@ -257,16 +259,20 @@ def _run_task(spec: SweepSpec, task: tuple) -> list[RobustnessRecord]:
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[RobustnessRecord]:
     """One record per (algorithm, image, t, rep), in canonical order.
 
-    A task is one algorithm over a run of consecutive images, halftoned as same-shape stacks; ``jobs`` > 1 spreads
-    the tasks over at most that many processes, each algorithm's images in min(jobs, ceil(2 * jobs / algorithms))
-    runs: the pool needs about two tasks per worker to even out, and each split adds a stack's fixed cost to FS
-    and dot diffusion.  A cell's seed index is its canonical place, so every jobs value gives the same output."""
+    A task is one algorithm over a run of consecutive images, halftoned as same-shape stacks; ``jobs`` > 1 splits
+    each algorithm's images into min(jobs, ceil(2 * jobs / algorithms)) runs, as the pool needs about two tasks
+    per worker to even out and each split adds a stack's fixed cost to FS and dot diffusion, and spreads the tasks
+    over at most jobs processes, and none past the usable CPUs.  A cell's seed index is its canonical place, so
+    every jobs value gives the same output."""
     _check_int(jobs, "jobs", 1)
     n_img, n_alg = len(spec.corpus), len(spec.algorithms)
     runs = min(jobs, -(-2 * jobs // n_alg))  # as few runs as give each worker about two tasks
     step = min(_STACK, -(-n_img // runs))
     tasks = [(ai, start, start + step) for ai in range(n_alg) for start in range(0, n_img, step)]
     workers = min(jobs, len(tasks))  # a pool starts all its workers up front
+    if workers > 1:  # and none past the CPUs this process may run on
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        workers = min(workers, cpus)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:

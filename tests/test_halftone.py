@@ -251,6 +251,39 @@ def test_blockd_edge_tiles_keep_true_size():
     assert out.bits.all()
 
 
+def rounding_edge_gray(rng, shape, h):
+    """An image each of whose blockd tiles (h x h, edge tiles at their true size) has a darkness sum S / 255
+    at j + 1/2 - 1/510 or j + 1/2 + 1/510, the nearest a tile comes to a half: S = 255j + 127 or 255j + 128."""
+    dark = np.empty(shape, dtype=np.int64)  # 255 - lightness
+    for y0 in range(0, shape[0], h):
+        for x0 in range(0, shape[1], h):
+            tile = dark[y0 : y0 + h, x0 : x0 + h]
+            m = tile.size
+            total = 255 * int(rng.integers(0, m)) + 127 + int(rng.integers(0, 2))
+            d = np.minimum(rng.integers(0, 2 * total // m + 2, m), 255)
+            # fill or drain pixels in a random order until the tile sums to total, each kept in 0..255
+            order, gap = rng.permutation(m), total - int(d.sum())
+            room = 255 - d[order] if gap > 0 else d[order]
+            d[order] += np.sign(gap) * np.clip(abs(gap) - (np.cumsum(room) - room), 0, room)
+            assert d.sum() == total and d.min() >= 0 and d.max() <= 255
+            tile[...] = d.reshape(tile.shape)
+    return GrayImage((255 - dark).astype(np.uint8))
+
+
+def test_blockd_dot_count_is_exact_at_the_rounding_edge():
+    """blockd rounds each tile's darkness sum half up; tiles whose sum lies 1/510 either side of a half give
+    the scalar loop's bits, for every tile area from 1 to 400, with ragged edge tiles beside each."""
+    rng = np.random.Generator(np.random.PCG64(510))
+    for m in range(1, 401):
+        th = int(rng.choice([d for d in range(1, m + 1) if m % d == 0]))
+        tw = m // th
+        h = max(th, tw)
+        # tiles of th x tw: a side shorter than h is one tile's side, and a side of h is two tiles and a ragged edge
+        shape = tuple(side if side < h else 2 * h + int(rng.integers(0, h)) for side in (th, tw))
+        img = rounding_edge_gray(rng, shape, h)
+        assert np.array_equal(one_image(img, HalftoneSpec("blockd", h=h)), halftone_oracle.block_d(img, h)), (shape, h)
+
+
 # shapes the tiling treats specially: one row or column, under one 8x8 class
 # tile, whole tiles, and ragged tiles on both axes
 EDGE_SHAPES = [(1, 1), (1, 2), (2, 1), (1, 40), (40, 1), (1, 9), (9, 1), (3, 5), (7, 7), (8, 8), (16, 24), (9, 17)]

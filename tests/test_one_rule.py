@@ -8,12 +8,14 @@ value too, whatever the value.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from inkchannel import BinaryImage, HalftoneSpec, Histogram, HistogramSpec, block_lightness_histogram
-from inkchannel.cli import _parse_algorithm_token, _parse_smoothing
+from inkchannel import BinaryImage, HalftoneSpec, Histogram, HistogramSpec, block_lightness_histogram, imagery
+from inkchannel.cli import DEFAULT_SWEEP_SMOOTHING, _parse_algorithm_token, _parse_hist, _parse_smoothing, build_parser
+from inkchannel.cli import parse_sweep_config
 from inkchannel.metrics import relative_entropy
 
 HALF = Histogram(np.array([0.5, 0.5]))
@@ -93,3 +95,93 @@ def test_histogram_rule_lives_with_histogram_and_metrics_re_exports_it():
 
     assert metrics.HistogramSpec is imagery.HistogramSpec is HistogramSpec
     assert metrics.HISTOGRAM_MODES is imagery.HISTOGRAM_MODES
+
+
+# the histogram cases below come from the mode table, so a new mode brings its own
+MODES = imagery._HISTOGRAMS
+TAKEN = {field: rule for row in MODES.values() for field, rule in row.fields.items()}  # field -> (name, least)
+
+
+def mode_values(mode):
+    """A good value for each field the mode takes, each a different one, so that a token read in the wrong
+    order shows."""
+    return {field: least + 7 + i for i, (field, (_, least)) in enumerate(MODES[mode].fields.items())}
+
+
+def mode_token(mode, values):
+    """The mode's token with ``values``, a value per field in field order, in its <placeholders>."""
+    values = iter(values.values())
+    return re.sub(r"<[^>]*>", lambda _: str(next(values)), MODES[mode].token)
+
+
+@pytest.mark.parametrize("mode, field", [(mode, field) for mode, row in MODES.items() for field in TAKEN
+                                         if field not in row.fields])
+def test_histogram_mode_refuses_by_name_each_field_it_does_not_take(mode, field):
+    only = " and ".join(m for m, row in MODES.items() if field in row.fields)
+    message = f"{mode} mode does not take {field} (only {only} mode does)"
+    for value in (TAKEN[field][1], TAKEN[field][1] - 1):  # a value its taker refuses is refused by name too
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            HistogramSpec(mode, **mode_values(mode), **{field: value})
+
+
+@pytest.mark.parametrize("mode, field", [(mode, field) for mode, row in MODES.items() for field in row.fields])
+def test_histogram_mode_requires_each_field_it_takes(mode, field):
+    what, least = MODES[mode].fields[field]
+    names = " and ".join(name for name, _ in MODES[mode].fields.values())
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{mode} mode requires {names}')}$"):
+        HistogramSpec(mode, **{**mode_values(mode), field: None})
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{what} must be >= {least}, got {least - 1}')}$"):
+        HistogramSpec(mode, **{**mode_values(mode), field: least - 1})
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{what} must be an integer, got 2.5')}$"):
+        HistogramSpec(mode, **{**mode_values(mode), field: 2.5})
+    low = mode_token(mode, {**mode_values(mode), field: least - 1})
+    with pytest.raises(ValueError, match=f"^{re.escape(f'--hist: {what} must be >= {least}, got {least - 1}')}$"):
+        _parse_hist(low, None)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("lam", [None, 1e-9])
+def test_histogram_token_round_trips(mode, lam):
+    assert _parse_hist(mode_token(mode, mode_values(mode)), lam) == HistogramSpec(mode, **mode_values(mode), smoothing=lam)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_sweep_config_hist_line_reads_each_mode(tmp_path, mode):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"algorithms = fs\nkind = bitflip\nt_grid = 0.1\nreps = 1\nseed = 1\ncorpus = a.pgm\n"
+                   f"hist = {mode_token(mode, mode_values(mode))}\n")
+    histogram = HistogramSpec(mode, **mode_values(mode), smoothing=DEFAULT_SWEEP_SMOOTHING)
+    assert parse_sweep_config(cfg).histogram == histogram
+
+
+UNKNOWN_HIST = "--hist: unknown mode {!r} (want 'binary' or 'block:<size>x<bins>')"
+BAD_BLOCK_HIST = "--hist: bad block spec {!r} (want block:<size>x<bins>)"
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: HistogramSpec("binary", block=8), "binary mode does not take block (only block mode does)",
+                 id="binary-block"),
+    pytest.param(lambda: HistogramSpec("binary", bins=16), "binary mode does not take bins (only block mode does)",
+                 id="binary-bins"),
+    pytest.param(lambda: HistogramSpec("binary", block=-3, bins=0),
+                 "binary mode does not take block (only block mode does)", id="binary-bad-block-and-bins"),
+    *(pytest.param(lambda kw=kw: HistogramSpec("block", **kw), "block mode requires block size and bin count",
+                   id=f"block-{'-'.join(kw) or 'bare'}") for kw in ({}, {"block": 8}, {"bins": 16})),
+    pytest.param(lambda: HistogramSpec("lab"), "unknown histogram mode 'lab' (expected one of ('binary', 'block'))",
+                 id="unknown-mode"),
+    *(pytest.param(lambda token=token: _parse_hist(token, None), UNKNOWN_HIST.format(token), id=f"token-{token!r}")
+      for token in ("binary:", "block", "lab", "")),
+    *(pytest.param(lambda token=token: _parse_hist(token, None), BAD_BLOCK_HIST.format(token), id=f"token-{token!r}")
+      for token in ("block:", "block:8", "block:8x16x1", "block:8xa")),
+    pytest.param(lambda: _parse_hist("block:0x16", None), "--hist: block size must be >= 1, got 0", id="token-block-0"),
+    pytest.param(lambda: _parse_hist("block:8x1", None), "--hist: bin count must be >= 2, got 1", id="token-bins-1"),
+])
+def test_histogram_messages_keep_their_text(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_hist_help_lists_every_mode_token():
+    metric = build_parser(("metric",))._subparsers._group_actions[0].choices["metric"]
+    (hist,) = [action for action in metric._actions if action.dest == "hist"]
+    assert hist.help == "kl only: binary (default) | block:<size>x<bins>"

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import itertools
 import math
+import os
 import re
 import runpy
 import tracemalloc
@@ -100,7 +101,8 @@ def test_sweep_jobs_invariant(corpus_dir, tmp_path):
 
 def test_sweep_starts_no_idle_workers(corpus_dir, monkeypatch):
     """A sweep starts no pool for one task, and splits each algorithm's images into
-    min(jobs, ceil(2 * jobs / algorithms)) runs, about two tasks per worker, with the records of jobs 1."""
+    min(jobs, ceil(2 * jobs / algorithms)) runs, about two tasks per worker, with the records of jobs 1.
+    Its pool has no more workers than the usable CPUs, and no pool starts on one CPU."""
     started, mapped = [], []
 
     class RecordingPool:  # records max_workers and the task list, and runs the tasks in-process
@@ -119,6 +121,7 @@ def test_sweep_starts_no_idle_workers(corpus_dir, monkeypatch):
 
     # run_sweep imports the pool from concurrent.futures only when it starts one
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    set_cpus(monkeypatch, 8)  # more than any case below asks for, whatever this machine has
     image = str(sorted(corpus_dir.glob("*.pgm"))[0])
     one_task = small_spec(corpus_dir, algorithms=(HalftoneSpec("fs"),), corpus=(image,))
     two_tasks = small_spec(corpus_dir, corpus=(image,))
@@ -143,6 +146,24 @@ def test_sweep_starts_no_idle_workers(corpus_dir, monkeypatch):
         assert run_sweep(spec, jobs=jobs) == run_sweep(spec), case
         assert mapped == [tasks], case
         assert started[-1] == jobs, case
+    singles = ((0, 1), (1, 2), (2, 3))
+    for cpus, jobs, runs in ((2, 4, halves), (3, 1000, singles)):  # the pool stops at the usable CPUs
+        set_cpus(monkeypatch, cpus)
+        spec, case = small_spec(corpus_dir, algorithms=seven), (cpus, jobs)
+        mapped.clear()
+        assert run_sweep(spec, jobs=jobs) == run_sweep(spec), case
+        assert mapped == [[(ai, *run) for ai in range(7) for run in runs]], case  # the tasks still follow jobs
+        assert started[-1] == cpus, case
+    set_cpus(monkeypatch, 1)  # one usable CPU: no pool, whatever jobs asks for
+    started.clear()
+    assert run_sweep(two_tasks, jobs=4) == run_sweep(two_tasks)
+    assert started == []
+
+
+def set_cpus(monkeypatch, cpus):
+    """Make run_sweep see ``cpus`` usable CPUs, through whichever call this platform gives it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
 
 
 def test_sweep_records_carry_densities(corpus_dir):
